@@ -2,8 +2,7 @@
 """Survey cohomology shapes across the group catalog.
 
 Prints one row per (group, degree) with the invariant factors and wall
-time, so it doubles as the standing benchmark for the elimination
-engines.  The full order-12 catalog at degrees 1..4 runs in about seven
+time; the benchmark proper is perfbench/run.py.  The full order-12 catalog at degrees 1..4 runs in about seven
 minutes and stays under 2 GB if --keep-caches is off.
 
     python3 scripts/survey_h4.py --max-order 12 --degrees 1,2,3,4

@@ -5,6 +5,7 @@ and the associated extension ledger."""
 from .qz import QZ
 from .groups import FiniteGroup, GroupHom, catalog_labels, from_label
 from .cochains import Cochain, coboundary, is_cocycle, pullback
+from .linalg import InternalCheckError
 from .cohomology import (
     CohomologyGroup,
     SizeBudgetError,
@@ -54,6 +55,7 @@ __all__ = [
     "coboundary",
     "is_cocycle",
     "pullback",
+    "InternalCheckError",
     "CohomologyGroup",
     "SizeBudgetError",
     "class_coordinates",

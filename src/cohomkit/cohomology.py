@@ -8,16 +8,18 @@ single integer coboundary matrix C^n(G, Z) -> C^{n+1}(G, Z) on normalized
 cochains, because the image of that matrix sits inside the (saturated)
 integral cocycle lattice and every class is killed by |G|.
 
-Two elimination engines share the work.  A batched factors-only engine
-(sweep module) answers "what is the group" cheaply even at the top of the
-size budget.  The journaled engine (linalg module) additionally replays row
-and column operations, which powers
+One journaled elimination engine (sweep module) does the linear algebra.
+It clears the unit pivots in a few batched sweeps, hands the small
+unit-free residue to the exact Smith reducer (linalg module), and records
+both as replayable journals, which power
 
   * cokernel vectors   -> explicit generating cocycles,
   * forward replay     -> coordinates of an arbitrary cocycle,
-  * integral solves    -> coboundary tests and primitives,
+  * integral solves    -> coboundary tests and primitives.
 
-and is built lazily, on the first query that needs it.
+Invariant factors alone need no journal, so compute_cohomology runs the
+same engine without one; the journaled run is built lazily, on the first
+query that replays.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .cochains import (
     zero_cochain,
 )
 from .groups import FiniteGroup
-from .linalg import SparseElimination
+from .linalg import InternalCheckError
 from .qz import QZ
 from .sweep import SweepElimination
 
@@ -108,61 +110,42 @@ def differential_rows(group: FiniteGroup, degree: int):
             yield row_index, row
 
 
-_elim_cache: dict[tuple, SparseElimination] = {}
-_factor_cache: dict[tuple, SweepElimination] = {}
+_elim_cache: dict[tuple, SweepElimination] = {}
 _cohomology_cache: dict[tuple, "CohomologyGroup"] = {}
 
 
 def clear_caches() -> None:
     _elim_cache.clear()
-    _factor_cache.clear()
     _cohomology_cache.clear()
 
 
-def get_elimination(group: FiniteGroup, degree: int) -> SparseElimination:
-    """Journaled elimination of the coboundary matrix out of degree `degree`.
+def get_elimination(group: FiniteGroup, degree: int,
+                    journal: bool = True) -> SweepElimination:
+    """Elimination of the coboundary matrix out of degree `degree`.
 
     The elimination runs mod |G|^2: every interesting invariant factor
     divides |G| (the averaging identity kills the torsion by |G|), so factors
     survive the reduction and stay distinguishable from free summands, while
     all arithmetic stays on small bounded residues.
+
+    journal=False asks for invariant factors only, and the engine keeps no
+    blocks.  One cache holds both kinds: a journaled entry also serves
+    factor queries, and a factors-only entry is rebuilt with a journal when
+    a replay needs one.
     """
     key = (group.cache_key(), degree)
     elim = _elim_cache.get(key)
-    if elim is None:
+    if elim is None or (journal and not elim.journal):
         _check_budget(group, degree)
         nrows = cochain_dimension(group.order, degree + 1)
         ncols = cochain_dimension(group.order, degree)
         # max() keeps the trivial group legal; its matrices are empty anyway
-        elim = SparseElimination(nrows, ncols, modulus=max(group.order ** 2, 2))
+        elim = SweepElimination(nrows, ncols, modulus=max(group.order ** 2, 2),
+                                journal=journal)
         for i, entries in differential_rows(group, degree):
             elim.add_row(i, entries)
         elim.run()
         _elim_cache[key] = elim
-    return elim
-
-
-def get_factor_elimination(group: FiniteGroup, degree: int):
-    """Factors-only elimination of the same coboundary matrix.
-
-    The batched engine keeps no operation journal, so it is the cheap way to
-    invariant factors near the top of the size budget.  When a journaled
-    elimination is already cached it is reused instead of building a second
-    copy of the matrix.
-    """
-    key = (group.cache_key(), degree)
-    if key in _elim_cache:
-        return _elim_cache[key]
-    elim = _factor_cache.get(key)
-    if elim is None:
-        _check_budget(group, degree)
-        nrows = cochain_dimension(group.order, degree + 1)
-        ncols = cochain_dimension(group.order, degree)
-        elim = SweepElimination(nrows, ncols, modulus=max(group.order ** 2, 2))
-        for i, entries in differential_rows(group, degree):
-            elim.add_row(i, entries)
-        elim.run()
-        _factor_cache[key] = elim
     return elim
 
 
@@ -190,7 +173,7 @@ class CohomologyGroup:
         return f"H^{self.degree} = {parts}"
 
     @property
-    def elimination(self) -> SparseElimination:
+    def elimination(self) -> SweepElimination:
         """The journaled elimination behind coordinates and generators."""
         return get_elimination(self.group, self.degree)
 
@@ -219,8 +202,8 @@ def _check_budget(group: FiniteGroup, degree: int) -> None:
 def compute_cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     """H^degree(group, Q/Z), invariant factors in ascending divisibility order.
 
-    Factors are computed eagerly with the batched engine; generating
-    cocycles and class coordinates pull in the journaled elimination on
+    Factors are computed eagerly by an elimination without a journal;
+    generating cocycles and class coordinates pull in the journaled one on
     first use.
     """
     if degree < 1:
@@ -230,13 +213,14 @@ def compute_cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     if cached is not None:
         return cached
     _check_budget(group, degree)
-    elim = get_factor_elimination(group, degree)
+    elim = get_elimination(group, degree, journal=False)
     factors = elim.nontrivial_factors()
     for f in factors:
         # torsion beyond the group order means a free summand leaked through
         # the torsion-only reduction: a bug, never a valid answer
-        assert group.order % f == 0, \
-            f"invariant factor {f} does not divide the group order"
+        if group.order % f:
+            raise InternalCheckError(
+                f"invariant factor {f} does not divide the group order")
     result = CohomologyGroup(group, degree, factors)
     _cohomology_cache[key] = result
     return result
@@ -248,8 +232,10 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
     elim = get_elimination(group, degree)
     pivots = elim.nontrivial_pivots()
     factors = [elim.pivot_factor(s) for _, _, s in pivots]
-    assert factors == cohomology.invariant_factors, \
-        "journaled and batched eliminations disagree on invariant factors"
+    if factors != cohomology.invariant_factors:
+        raise InternalCheckError(
+            "journaled and factors-only eliminations disagree on invariant "
+            "factors")
     generators = []
     for r, c, s in pivots:
         # the column transform turns the pivot relation around: with
@@ -263,16 +249,18 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
         gen = qz_from_scaled_vector(group, degree, vec, denom)
         # identity witnesses: the generator is a cocycle and |G| times its
         # integral image bounds, which certifies the torsion-only reduction
-        assert is_cocycle(gen), "generator failed the cocycle check"
+        if not is_cocycle(gen):
+            raise InternalCheckError("generator failed the cocycle check")
         zc = from_int_vector(group, degree + 1, _bockstein_vector(gen))
         w = torsion_primitive(zc)
-        assert coboundary(w) == zc.scale(group.order), \
-            "averaging identity failed on a generator"
+        if coboundary(w) != zc.scale(group.order):
+            raise InternalCheckError("averaging identity failed on a generator")
         generators.append(gen)
     for i, gen in enumerate(generators):
         coords = class_coordinates(gen, cohomology)
         expected = [1 if j == i else 0 for j in range(len(factors))]
-        assert coords == expected, "generator coordinates are not unit vectors"
+        if coords != expected:
+            raise InternalCheckError("generator coordinates are not unit vectors")
     return generators
 
 
@@ -328,16 +316,14 @@ def class_coordinates(f: Cochain, cohomology: CohomologyGroup | None = None
         if not v:
             continue
         s = pivot_value.get(r)
-        if s is not None:
-            assert v % elim.pivot_factor(s) == 0, \
-                "cocycle image escapes the coboundary lattice"
-        else:
-            # a pivotless row spans a free direction of the cokernel; over
-            # the integers |G|*z is a coboundary (averaging identity), and
-            # its transformed image vanishes there mod |G|^2, so a genuine
-            # cocycle can leave at most a multiple of the group order
-            assert v % order == 0, \
-                "cocycle image escapes the coboundary lattice"
+        # a pivotless row spans a free direction of the cokernel; over the
+        # integers |G|*z is a coboundary (averaging identity), and its
+        # transformed image vanishes there mod |G|^2, so a genuine cocycle
+        # can leave at most a multiple of the group order
+        bound = elim.pivot_factor(s) if s is not None else order
+        if v % bound:
+            raise InternalCheckError(
+                "cocycle image escapes the coboundary lattice")
     return coords
 
 
@@ -434,5 +420,6 @@ def coboundary_primitive(f: Cochain) -> Cochain:
         if q:
             entries[key] = q
     g = Cochain(group, n - 1, "qz", entries)
-    assert coboundary(g) == f, "primitive does not bound the cochain"
+    if coboundary(g) != f:
+        raise InternalCheckError("primitive does not bound the cochain")
     return g

@@ -38,12 +38,14 @@ from .cohomology import (
     CohomologyGroup,
     SizeBudgetError,
     _bockstein_vector,
+    _check_budget,
     class_coordinates,
     compute_cohomology,
     get_elimination,
     is_coboundary,
 )
 from .groups import FiniteGroup, GroupHom, catalog_labels, enumerate_surjections, from_label
+from .linalg import InternalCheckError
 from .skeletons import QuasiMonoidalSkeleton, pentagon_defect, trivial_skeleton
 
 DEFAULT_MAX_COVER = 16
@@ -90,7 +92,9 @@ def find_cover(base: FiniteGroup, cocycle: Cochain,
     ties), and inside one candidate by the enumeration order of its
     surjections onto the base, so the result is a deterministic function
     of the catalog.  A cocycle that already bounds gets the identity
-    homomorphism without any search.
+    homomorphism without any search.  Candidates of the base's own order
+    (whose surjections are isomorphisms) and candidates over the size
+    budget are reported without pulling anything back.
     """
     if cocycle.group.table != base.table:
         raise CochainError("cocycle does not live on the base group")
@@ -110,27 +114,31 @@ def find_cover(base: FiniteGroup, cocycle: Cochain,
     reports: list[CandidateReport] = []
     for candidate in sorted(catalog, key=lambda g: g.order):
         homs = enumerate_surjections(candidate, base)
-        if not homs:
-            reports.append(CandidateReport(
-                candidate.name, candidate.order, 0, "no surjection onto the base"))
-            continue
         outcome = None
-        for position, hom in enumerate(homs):
-            lifted = pullback(hom, cocycle)
+        if not homs:
+            outcome = "no surjection onto the base"
+        elif candidate.order == base.order:
+            # a surjection between groups of one order is an isomorphism,
+            # and an isomorphism never kills a nonzero class
+            outcome = "same order as the base: every surjection is an isomorphism"
+        else:
             try:
-                dies = is_coboundary(lifted)
+                _check_budget(candidate, 4)
             except SizeBudgetError as exc:
                 outcome = f"size budget exceeded: {exc}"
-                break
-            if dies:
-                coords = class_coordinates(
-                    lifted, compute_cohomology(candidate, 4))
-                assert not any(coords), "coboundary with nonzero class coordinates"
-                reports.append(CandidateReport(
-                    candidate.name, candidate.order, len(homs),
-                    f"selected surjection {position + 1} of {len(homs)}"))
-                return hom, CoverWitness(tuple(reports), tuple(coords))
         if outcome is None:
+            for position, hom in enumerate(homs):
+                lifted = pullback(hom, cocycle)
+                if is_coboundary(lifted):
+                    coords = class_coordinates(
+                        lifted, compute_cohomology(candidate, 4))
+                    if any(coords):
+                        raise InternalCheckError(
+                            "coboundary with nonzero class coordinates")
+                    reports.append(CandidateReport(
+                        candidate.name, candidate.order, len(homs),
+                        f"selected surjection {position + 1} of {len(homs)}"))
+                    return hom, CoverWitness(tuple(reports), tuple(coords))
             outcome = f"class survives all {len(homs)} pullbacks"
         reports.append(CandidateReport(
             candidate.name, candidate.order, len(homs), outcome))
@@ -149,7 +157,7 @@ def solve_primitive(hom: GroupHom, cocycle: Cochain) -> Cochain:
     4-cochain with that same coboundary, exactly, after the averaging
     homotopy closes the modular gap.  Lift minus correction is then a
     rational 4-cocycle, and averaging over the last argument contracts it
-    to the primitive.  Everything is exact; the result is asserted to
+    to the primitive.  Everything is exact; the result is checked to
     bound the pullback entrywise.
     """
     if hom.target.table != cocycle.group.table:
@@ -207,7 +215,8 @@ def solve_primitive(hom: GroupHom, cocycle: Cochain) -> Cochain:
         if q:
             entries[key] = q
     primitive = Cochain(cover, 3, "qz", entries)
-    assert coboundary(primitive) == lifted, "primitive does not bound the pullback"
+    if coboundary(primitive) != lifted:
+        raise InternalCheckError("primitive does not bound the pullback")
     return primitive
 
 
@@ -217,7 +226,7 @@ def realize(base: FiniteGroup, coordinates, h4: CohomologyGroup | None = None,
 
     The class is specified by coordinates against the invariant-factor
     basis of the base's degree-4 cohomology.  The round trip
-    class(defect(realize(w))) = w is asserted before returning.
+    class(defect(realize(w))) = w is checked before returning.
     """
     if h4 is None:
         h4 = compute_cohomology(base, 4)
@@ -237,5 +246,7 @@ def realize(base: FiniteGroup, coordinates, h4: CohomologyGroup | None = None,
     associator = solve_primitive(hom, target)
     skeleton = QuasiMonoidalSkeleton(hom.source, base, hom, associator)
     achieved = class_coordinates(pentagon_defect(skeleton).cocycle, h4)
-    assert achieved == coords, f"defect class {achieved} differs from target {coords}"
+    if achieved != coords:
+        raise InternalCheckError(
+            f"defect class {achieved} differs from target {coords}")
     return skeleton

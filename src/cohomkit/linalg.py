@@ -1,23 +1,24 @@
-"""Exact elimination on sparse integer matrices, with an operation journal.
+"""Exact Smith reduction of small sparse integer matrices, with a journal.
 
-The eliminator reduces a sparse matrix to (positionally) diagonal form
-S = U * D * V by row and column operations, either over the integers or over
-Z/M for a fixed modulus M.  Transforms are never stored as matrices: every
-operation is appended to a journal, and U / U^-1 / V are applied to vectors
-later by replaying the journal.  That keeps memory proportional to the work
-done and still supports
+The reducer brings a sparse matrix to (positionally) diagonal form
+S = U * D * V by row and column operations, either over the integers or
+over Z/M for a fixed modulus M.  Transforms are never stored as matrices:
+every operation is appended to a journal, and U / U^-1 / V are applied to
+vectors later by replaying the journal.  That keeps memory proportional to
+the work done and still supports
 
   * the diagonal (hence cokernel invariant factors),
   * solves D x = b, exactly or mod M,
   * cokernel vectors U^-1 e_r at chosen pivot rows,
   * coordinates U b of a vector against the pivot rows.
 
-Phase 1 eliminates with invertible pivots (units of Z/M, or +-1 over Z)
-picked by a lazy Markowitz heap; such pivots only contribute units to the
-diagonal.  Phase 2 runs classical Smith reduction (minimum-magnitude
-pivoting, remainder ping-pong, divisibility sweep) on the small residue.  In
-modular mode magnitudes are measured on balanced representatives so the
-descent argument still terminates.
+It runs classical Smith reduction: minimum-magnitude pivoting, remainder
+ping-pong, and a divisibility sweep.  In modular mode magnitudes are
+measured on balanced representatives so the descent argument still
+terminates.  Each pivot costs a scan of the whole matrix, so this is the
+residue reducer: the batched engine in the sweep module clears every unit
+pivot first and hands over the small unit-free remainder.  Small exact
+(M = 0) matrices are reduced here directly.
 
 Over Z/M the diagonal entry d contributes the cyclic factor Z/gcd(d, M); a
 caller that knows the interesting torsion divides some m < M (take M = m*m)
@@ -27,9 +28,15 @@ reads the true invariant factors off the gcds that land strictly between
 
 from __future__ import annotations
 
-from heapq import heappush, heappop
 from math import gcd
 from typing import Iterable, Optional
+
+
+class InternalCheckError(RuntimeError):
+    """An exactness check failed: the computation is wrong, not the input.
+
+    Raised instead of `assert`, so the checks survive `python -O`.
+    """
 
 
 def _round_div(a: int, b: int) -> int:
@@ -50,14 +57,8 @@ class SparseElimination:
         self.rows: dict[int, dict[int, int]] = {}
         self.col_rows: dict[int, set[int]] = {}
         self.initial_nnz = 0
-        # pivots as (row, col, value); phase-1 values are units, phase-2
-        # values carry the divisibility chain
+        # pivots as (row, col, value); the values carry the divisibility chain
         self.pivots: list[tuple[int, int, int]] = []
-        if modulus:
-            self._units = bytearray(modulus)
-            for v in range(1, modulus):
-                if gcd(v, modulus) == 1:
-                    self._units[v] = 1
         self._row_i: list[int] = []
         self._row_j: list[int] = []
         self._row_c: list[int] = []
@@ -83,18 +84,8 @@ class SparseElimination:
 
     # -- helpers --
 
-    def _is_unit(self, v: int) -> bool:
-        if self.modulus:
-            return bool(self._units[v])
-        return v == 1 or v == -1
-
-    def _inv_unit(self, v: int) -> int:
-        if self.modulus:
-            return pow(v, -1, self.modulus)
-        return v
-
     def _bal(self, v: int) -> int:
-        """Balanced representative, the magnitude that drives phase 2."""
+        """Balanced representative, the magnitude that drives the pivoting."""
         m = self.modulus
         if m and 2 * v > m:
             return v - m
@@ -144,69 +135,7 @@ class SparseElimination:
                 del row[t]
                 col_rows[t].discard(k)
 
-    # -- phase 1: unit pivots, lazy Markowitz --
-
-    _SCORE_CAP = (1 << 23) - 1
-
-    def _pack(self, score: int, i: int, j: int) -> int:
-        return (min(score, self._SCORE_CAP) << 44) | (i << 22) | j
-
-    def _phase1(self) -> None:
-        heap: list[int] = []
-        rows, col_rows = self.rows, self.col_rows
-        for i, row in rows.items():
-            for j, v in row.items():
-                if self._is_unit(v):
-                    heap.append(self._pack((len(row) - 1) * (len(col_rows[j]) - 1), i, j))
-        heap.sort()
-        while heap:
-            packed = heappop(heap)
-            i = (packed >> 22) & 0x3FFFFF
-            j = packed & 0x3FFFFF
-            row = rows.get(i)
-            if row is None:
-                continue
-            s = row.get(j)
-            if s is None or not self._is_unit(s):
-                continue
-            score = (len(row) - 1) * (len(col_rows[j]) - 1)
-            if score > (packed >> 44):
-                heappush(heap, self._pack(score, i, j))
-                continue
-            # eliminate with pivot (i, j, s): clear the column by row ops,
-            # then the (now singleton) column lets column ops clear the row
-            # with zero fill elsewhere
-            sinv = self._inv_unit(s)
-            pivot_cols = sorted(row)
-            for k in sorted(col_rows[j]):
-                if k == i:
-                    continue
-                c = -rows[k][j] * sinv
-                if self.modulus:
-                    c %= self.modulus
-                self._row_add(k, i, c)
-                krow = rows.get(k)
-                if krow:
-                    # only entries under the pivot row's columns changed
-                    for t in pivot_cols:
-                        v = krow.get(t)
-                        if v is not None and self._is_unit(v):
-                            heappush(heap, self._pack(
-                                (len(krow) - 1) * (len(col_rows[t]) - 1), k, t))
-            for t in pivot_cols:
-                if t != j:
-                    c = -row[t] * sinv
-                    if self.modulus:
-                        c %= self.modulus
-                    self._col_add(t, j, c)
-            assert rows[i] == {j: s}
-            del rows[i]
-            col_rows[j].discard(i)
-            if not col_rows[j]:
-                del col_rows[j]
-            self.pivots.append((i, j, s))
-
-    # -- phase 2: Smith reduction of the residue --
+    # -- Smith reduction --
 
     def _min_entry(self) -> Optional[tuple[int, int]]:
         best = None
@@ -219,7 +148,7 @@ class SparseElimination:
                     best = (i, j)
         return best
 
-    def _phase2(self) -> None:
+    def _reduce(self) -> None:
         rows, col_rows = self.rows, self.col_rows
         bal = self._bal
         m = self.modulus
@@ -282,8 +211,7 @@ class SparseElimination:
 
     def run(self) -> "SparseElimination":
         if not self._done:
-            self._phase1()
-            self._phase2()
+            self._reduce()
             self._done = True
         return self
 

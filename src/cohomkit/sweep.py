@@ -1,23 +1,41 @@
-"""Batched elimination for invariant factors of large sparse matrices mod M.
+"""Batched, journaled elimination of large sparse matrices mod M.
 
-The journaled eliminator in linalg keeps every intermediate row in python
-dicts, which is fine up to a few tens of thousands of rows but melts down on
-the degree-4 matrices of order-12 groups.  This engine computes invariant
-factors only (no transform journal) by batching independent unit pivots:
+This is the one elimination engine behind every cohomology query.  It
+reduces a sparse matrix to (positionally) diagonal form S = U * A * V over
+Z/M by batching independent unit pivots:
 
-  pick a set P of entries (r_p, c_p) with unit value mod M such that rows
-  and columns are distinct and no pivot row meets another pivot's column;
-  then all |P| eliminations commute and amount to the single update
+  pick a set P of entries (r_p, c_p) with unit value u_p mod M such that
+  rows and columns are distinct and no pivot row meets another pivot's
+  column; then all |P| eliminations commute and amount to the single update
 
       A  <-  A + C @ A[rows_P, :]        (then drop rows_P and cols_P)
 
   where column p of C holds -A[:, c_p] / u_p with the pivot rows zeroed.
+  Dropping the pivot rows stands for the column operations that clear
+  them; those touch nothing else, because each pivot column is a singleton
+  once the update has run.
 
 The update is one sparse matrix product, so the fill work runs inside
 scipy instead of a python loop.  Unit pivots only contribute 1s to the
 Smith chain; whatever residue has no units left is handed to the exact
-dict-based eliminator, which is small by then and returns the nontrivial
-chain.
+dict-based reducer in linalg, which is small by then, returns the
+nontrivial chain and keeps its own journal.
+
+With journal=True each sweep k also records its pivots (original row and
+column ids, units), C_k in original row ids and the pivot rows
+P_k = A[rows_P, :] in original column ids, without their pivot entries.
+C_k vanishes on rows_P, so the sweep's row operation I + C_k E_P has the
+inverse I - C_k E_P, and its column operations are a back-substitution
+through P_k.  Every replay is then one sparse mat-vec per sweep on a dense
+int64 vector, plus the residue's journal:
+
+  * U b              sweeps in order, then the residue's row journal,
+  * U^-1 e_r         the residue's inverse, then the sweeps in reverse,
+  * V y and solves   the residue's column replay or solve, then the pivot
+                     columns back-substituted in reverse sweep order,
+                     x[c_p] = (y[r_p] - sum_{t != c_p} P_k[r_p, t] x[t]) / u_p.
+
+A factors-only run (journal=False) stores no blocks.
 
 All arithmetic is mod M.  Callers chasing torsion that divides m should
 pass M = m*m so torsion factors stay distinguishable from free summands
@@ -27,26 +45,43 @@ pass M = m*m so torsion factors stay distinguishable from free summands
 from __future__ import annotations
 
 from math import gcd
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .linalg import SparseElimination
+from .linalg import InternalCheckError, SparseElimination
 
 # keep candidate scans per sweep bounded; selection quality degrades
 # gracefully because rejected units come back next sweep
 _MAX_CANDIDATES = 200_000
 
 
-class SweepElimination:
-    """Factors-only elimination mod M > 1 of a matrix given by sparse rows."""
+def candidate_order(scores: np.ndarray, cap: int = _MAX_CANDIDATES) -> np.ndarray:
+    """np.argsort(scores, kind="stable")[:cap], without sorting them all.
 
-    def __init__(self, nrows: int, ncols: int, modulus: int):
+    The cap-th smallest score is found by a partition; every candidate
+    scoring at most that much is kept in index order and stable-sorted, so
+    ties break by index exactly as in the full stable sort.
+    """
+    if scores.size <= cap:
+        return np.argsort(scores, kind="stable")
+    threshold = np.partition(scores, cap - 1)[cap - 1]
+    kept = np.flatnonzero(scores <= threshold)
+    return kept[np.argsort(scores[kept], kind="stable")[:cap]]
+
+
+class SweepElimination:
+    """Elimination mod M > 1 of a matrix given by sparse rows."""
+
+    def __init__(self, nrows: int, ncols: int, modulus: int,
+                 journal: bool = True):
         if modulus <= 1:
             raise ValueError("sweep elimination needs a modulus > 1")
         self.nrows = nrows
         self.ncols = ncols
         self.modulus = modulus
+        self.journal = journal
         self._coo_r: list[int] = []
         self._coo_c: list[int] = []
         self._coo_v: list[int] = []
@@ -55,6 +90,10 @@ class SweepElimination:
         self._core: SparseElimination | None = None
         self._done = False
         self.sweeps = 0
+        # per sweep: (rows, cols, units, inverse units, C_k, off-pivot P_k)
+        self._blocks: list[tuple] = []
+        self._unit_rows = np.zeros(nrows if journal else 0, dtype=bool)
+        self._pivots: list[tuple[int, int, int]] | None = None
 
     def add_row(self, i: int, entries: dict[int, int]) -> None:
         m = self.modulus
@@ -104,9 +143,7 @@ class SweepElimination:
             cand_rows = entry_rows[cand_idx]
             cand_cols = a.indices[cand_idx]
             scores = (row_len[cand_rows] - 1) * (col_cnt[cand_cols] - 1)
-            order = np.argsort(scores, kind="stable")
-            if order.size > _MAX_CANDIDATES:
-                order = order[:_MAX_CANDIDATES]
+            order = candidate_order(scores)
 
             # greedy independent set: distinct rows and columns, and no
             # pivot row may meet another pivot's column
@@ -155,6 +192,9 @@ class SweepElimination:
                  np.concatenate(([0], np.cumsum(np.bincount(
                      col_of_entry[keep], minlength=k))))),
                 shape=(nr, k))
+            if self.journal:
+                self._record(row_ids, col_ids, rows_p, cols_p, pivot_units,
+                             inv_table, c_mat, p)
             delta = (c_mat @ p).tocsr()
             a = (a + delta).tocsr()
             a.data %= m
@@ -182,17 +222,138 @@ class SweepElimination:
         self._done = True
         return self
 
-    # -- results, mirroring the journaled engine --
+    def _record(self, row_ids, col_ids, rows_p, cols_p, pivot_units,
+                inv_table, c_mat, p) -> None:
+        """Journal one sweep in original row and column ids."""
+        k = len(rows_p)
+        rows = row_ids[rows_p].astype(np.intp)
+        c = c_mat.tocoo()
+        c_orig = sparse.csr_matrix(
+            (c.data.astype(np.int64), (row_ids[c.row], c.col)),
+            shape=(self.nrows, k))
+        pc = p.tocoo()
+        off = pc.col != cols_p[pc.row]
+        p_orig = sparse.csr_matrix(
+            (pc.data[off].astype(np.int64),
+             (pc.row[off], col_ids[pc.col[off]])),
+            shape=(k, self.ncols))
+        self._blocks.append((rows, col_ids[cols_p].astype(np.intp),
+                             pivot_units.astype(np.int64),
+                             inv_table[pivot_units].astype(np.int64),
+                             c_orig, p_orig))
+        self._unit_rows[rows] = True
+
+    # -- results --
+
+    def _residue(self) -> SparseElimination:
+        if self._core is None:
+            raise InternalCheckError("elimination queried before run()")
+        return self._core
 
     def pivot_factor(self, value: int) -> int:
         return gcd(value, self.modulus)
 
     def nontrivial_factors(self) -> list[int]:
-        assert self._core is not None
-        return self._core.nontrivial_factors()
+        return self._residue().nontrivial_factors()
 
     def invariant_factors(self) -> list[int]:
-        assert self._core is not None
         ones = self.unit_pivot_count
-        core = self._core.invariant_factors()
+        core = self._residue().invariant_factors()
         return [1] * ones + core
+
+    def nontrivial_pivots(self) -> list[tuple[int, int, int]]:
+        """Pivots whose factor is not 1, ascending by factor: all of them
+        come from the residue, since the sweeps pivot on units only."""
+        return self._residue().nontrivial_pivots()
+
+    @property
+    def pivots(self) -> list[tuple[int, int, int]]:
+        """All pivots (row, col, value): the sweeps' units, then the residue's."""
+        if self._pivots is None:
+            self._journaled()
+            out: list[tuple[int, int, int]] = []
+            for rows, cols, units, *_ in self._blocks:
+                out.extend(zip(rows.tolist(), cols.tolist(), units.tolist()))
+            out.extend(self._core.pivots)
+            self._pivots = out
+        return self._pivots
+
+    def journal_size(self) -> int:
+        """Stored block entries plus the residue's journal length."""
+        return (sum(c.nnz + p.nnz for *_, c, p in self._blocks)
+                + self._residue().journal_size())
+
+    # -- journal replays on dense vectors mod M --
+
+    def _journaled(self) -> SparseElimination:
+        core = self._residue()
+        if not self.journal:
+            raise ValueError("elimination was run without a journal")
+        return core
+
+    def _dense(self, vec: dict[int, int], size: int) -> np.ndarray:
+        m = self.modulus
+        out = np.zeros(size, dtype=np.int64)
+        if vec:
+            out[np.fromiter(vec, dtype=np.intp, count=len(vec))] = [
+                v % m for v in vec.values()]
+        return out
+
+    @staticmethod
+    def _sparse(vec: np.ndarray, mask: np.ndarray | None = None
+                ) -> dict[int, int]:
+        nz = np.flatnonzero(vec if mask is None else vec * mask)
+        return dict(zip(nz.tolist(), vec[nz].tolist()))
+
+    def _forward(self, b: np.ndarray) -> np.ndarray:
+        m = self.modulus
+        for rows, _, _, _, c, _ in self._blocks:
+            b = (b + c @ b[rows]) % m
+        return b
+
+    def _back_substitute(self, x: np.ndarray,
+                         y: np.ndarray | None = None) -> np.ndarray:
+        """Apply the sweeps' column operations in reverse order; with y,
+        also solve the unit pivots, x[c_p] = y[r_p] / u_p first."""
+        m = self.modulus
+        for rows, cols, _, inv, _, p in reversed(self._blocks):
+            rhs = -(p @ x) if y is None else y[rows] - p @ x
+            x[cols] = (x[cols] + inv * (rhs % m)) % m
+        return x
+
+    def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
+        """y = U b."""
+        core = self._journaled()
+        b = self._forward(self._dense(vec, self.nrows))
+        out = self._sparse(b, self._unit_rows)
+        out.update(core.apply_row_transform(self._sparse(b, ~self._unit_rows)))
+        return out
+
+    def coker_vector(self, r: int) -> dict[int, int]:
+        """U^-1 e_r."""
+        m = self.modulus
+        b = self._dense(self._journaled().coker_vector(r), self.nrows)
+        for rows, _, _, _, c, _ in reversed(self._blocks):
+            b = (b - c @ b[rows]) % m
+        return self._sparse(b)
+
+    def apply_col_transform(self, y: dict[int, int]) -> dict[int, int]:
+        """x = V y."""
+        x = self._dense(self._journaled().apply_col_transform(y), self.ncols)
+        return self._sparse(self._back_substitute(x))
+
+    def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
+        """Particular solution of A x = b mod M, else None."""
+        core = self._journaled()
+        y = self._forward(self._dense(b, self.nrows))
+        x = core.solve(self._sparse(y, ~self._unit_rows))
+        if x is None:
+            return None
+        return self._sparse(self._back_substitute(self._dense(x, self.ncols), y))
+
+    def solvable(self, b: dict[int, int]) -> bool:
+        """Solvability test only: unit pivot rows always solve, so only
+        the rest goes to the residue."""
+        core = self._journaled()
+        y = self._forward(self._dense(b, self.nrows))
+        return core.solvable(self._sparse(y, ~self._unit_rows))

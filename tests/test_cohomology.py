@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -212,3 +215,36 @@ def test_results_are_cached():
     assert compute_cohomology(g, 3) is compute_cohomology(g, 3)
     twin = from_label("cyclic:5")
     assert compute_cohomology(twin, 3) is compute_cohomology(g, 3)
+
+
+@pytest.mark.parametrize("label", ["dihedral:6", "product:cyclic:2 x cyclic:6"])
+def test_order_twelve_generator_contract(label):
+    h = compute_cohomology(from_label(label), 3)
+    assert h.invariant_factors == [2, 2, 6]
+    gens = h.generators
+    assert len(gens) == 3
+    for i, gen in enumerate(gens):
+        assert is_cocycle(gen)
+        assert class_coordinates(gen, h) == [int(i == j) for j in range(3)]
+
+
+def test_exactness_checks_survive_optimized_mode():
+    # under -O every assert is stripped; the generator's cocycle check must
+    # still raise when the cocycle test is made to fail
+    script = textwrap.dedent("""
+        import cohomkit.cohomology as cohomology
+        from cohomkit import InternalCheckError, from_label
+
+        print("debug", __debug__)
+        cohomology.is_cocycle = lambda f: False
+        h = cohomology.compute_cohomology(from_label("cyclic:2"), 1)
+        try:
+            h.generators
+        except InternalCheckError as exc:
+            print("raised", exc)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False", "raised generator failed the cocycle check"]

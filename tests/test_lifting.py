@@ -12,12 +12,14 @@ from cohomkit.cochains import (
     zero_cochain,
 )
 from cohomkit.cohomology import (
+    SIZE_BUDGET_ENV,
     class_coordinates,
     coboundary_primitive,
     compute_cohomology,
     is_coboundary,
 )
 from cohomkit.groups import from_label
+import cohomkit.lifting as lifting
 from cohomkit.lifting import (
     CoverExhaustionError,
     default_catalog,
@@ -172,3 +174,42 @@ def test_realize_on_vanishing_group():
     base = from_label("cyclic:6")
     sk = realize(base, ())
     assert pentagon_defect(sk).cocycle.is_zero()
+
+
+def _record_pullbacks(monkeypatch):
+    pulled = []
+
+    def recording(hom, f):
+        pulled.append(hom.source.name)
+        return pullback(hom, f)
+    monkeypatch.setattr(lifting, "pullback", recording)
+    return pulled
+
+
+def test_over_budget_candidate_never_reaches_pullback(monkeypatch):
+    base = from_label(V4)
+    target = v4_h4().generators[0]
+    pulled = _record_pullbacks(monkeypatch)
+    # the base needs 3^5 = 243 cells at degree 4, dihedral:4 needs 7^5
+    monkeypatch.setenv(SIZE_BUDGET_ENV, "1000")
+    with pytest.raises(CoverExhaustionError) as err:
+        find_cover(base, target, catalog=[from_label("dihedral:4")])
+    (report,) = err.value.reports
+    assert report.surjections == 6
+    assert report.outcome.startswith("size budget exceeded")
+    assert pulled == []
+
+
+def test_same_order_candidates_are_not_pulled_back(monkeypatch):
+    base = from_label(V4)
+    target = v4_h4().generators[0]
+    pulled = _record_pullbacks(monkeypatch)
+    with pytest.raises(CoverExhaustionError) as err:
+        find_cover(base, target,
+                   catalog=[from_label("cyclic:4"), from_label(V4)])
+    cyclic, klein = err.value.reports
+    assert (cyclic.surjections, cyclic.outcome) == (
+        0, "no surjection onto the base")
+    assert (klein.surjections, klein.outcome) == (
+        6, "same order as the base: every surjection is an isomorphism")
+    assert pulled == []

@@ -1,12 +1,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from sympy import Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
 
 from cohomkit.linalg import SparseElimination, eliminate
-from cohomkit.sweep import SweepElimination
+from cohomkit.sweep import SweepElimination, candidate_order
 
 
 def dense_to_rows(mat):
@@ -196,3 +197,117 @@ def test_sweep_on_structured_kernel():
         fast.add_row(i, entries)
     fast.run()
     assert fast.nontrivial_factors() == [2, 4]
+
+
+def journaled_sweep(mat, nrows, ncols, modulus):
+    elim = SweepElimination(nrows, ncols, modulus, journal=True)
+    for i, entries in dense_to_rows(mat):
+        elim.add_row(i, entries)
+    return elim.run()
+
+
+def sweep_matrix(seed, modulus):
+    rng = random.Random(seed * 31 + modulus)
+    nrows, ncols = rng.randint(4, 30), rng.randint(4, 30)
+    mat = random_matrix(rng, nrows, ncols, lo=0, hi=modulus - 1, density=0.3)
+    return rng, mat, nrows, ncols
+
+
+def mat_vec(mat, x, modulus):
+    return {i: s for i, row in enumerate(mat)
+            if (s := sum(v * x.get(j, 0) for j, v in enumerate(row)) % modulus)}
+
+
+@pytest.mark.parametrize("seed,modulus", [(s, m) for s in range(4)
+                                          for m in (4, 9, 36)])
+def test_sweep_journal_reconstructs_diagonal(seed, modulus):
+    _, mat, nrows, ncols = sweep_matrix(seed, modulus)
+    elim = journaled_sweep(mat, nrows, ncols, modulus)
+    d = reconstruct_diagonal(elim, mat)
+    expected = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in elim.pivots:
+        expected[r][c] = v % modulus
+    assert d == expected
+    assert len(elim.pivots) == elim.unit_pivot_count + len(elim._core.pivots)
+
+
+@pytest.mark.parametrize("seed,modulus", [(s, m) for s in range(4)
+                                          for m in (4, 9, 36)])
+def test_sweep_coker_vectors_invert_row_transform(seed, modulus):
+    _, mat, nrows, _ = sweep_matrix(seed, modulus)
+    elim = journaled_sweep(mat, nrows, len(mat[0]), modulus)
+    for r in range(nrows):
+        assert elim.apply_row_transform(elim.coker_vector(r)) == {r: 1}
+
+
+@pytest.mark.parametrize("seed,modulus", [(s, m) for s in range(4)
+                                          for m in (4, 9, 36)])
+def test_sweep_solve(seed, modulus):
+    rng, mat, nrows, ncols = sweep_matrix(seed, modulus)
+    elim = journaled_sweep(mat, nrows, ncols, modulus)
+    # the residue reducer alone is an independent oracle for solvability
+    oracle = eliminate(dense_to_rows(mat), nrows, ncols, modulus=modulus)
+    for _ in range(5):
+        b = mat_vec(mat, {j: rng.randrange(modulus) for j in range(ncols)},
+                    modulus)
+        assert elim.solvable(b)
+        x = elim.solve(b)
+        assert x is not None and mat_vec(mat, x, modulus) == b
+    # off the image: add a cokernel vector at a row whose diagonal entry is
+    # not a unit (a pivotless row, or a nontrivial pivot)
+    units = {r for r, _, s in elim.pivots if elim.pivot_factor(s) == 1}
+    for r in [r for r in range(nrows) if r not in units][:3]:
+        b = mat_vec(mat, {j: rng.randrange(modulus) for j in range(ncols)},
+                    modulus)
+        for i, v in elim.coker_vector(r).items():
+            b[i] = (b.get(i, 0) + v) % modulus
+        b = {i: v for i, v in b.items() if v}
+        assert not oracle.solvable(b)
+        assert not elim.solvable(b)
+        assert elim.solve(b) is None
+    for _ in range(5):
+        b = {i: rng.randrange(modulus) for i in range(nrows)}
+        x = elim.solve(b)
+        assert (x is not None) == elim.solvable(b) == oracle.solvable(b)
+        if x is not None:
+            assert mat_vec(mat, x, modulus) == {i: v for i, v in b.items() if v}
+
+
+def test_sweep_solvable_matches_dense_enumeration():
+    rng = random.Random(13)
+    modulus = 6
+    hits = misses = 0
+    for _ in range(25):
+        nrows, ncols = rng.randint(2, 3), rng.randint(2, 3)
+        mat = random_matrix(rng, nrows, ncols, lo=0, hi=modulus - 1)
+        elim = journaled_sweep(mat, nrows, ncols, modulus)
+        b_vec = [rng.randrange(modulus) for _ in range(nrows)]
+        b = {i: v for i, v in enumerate(b_vec) if v}
+        truth = any(
+            all(sum(mat[i][j] * x[j] for j in range(ncols)) % modulus
+                == b_vec[i] for i in range(nrows))
+            for x in product(range(modulus), repeat=ncols))
+        assert elim.solvable(b) == truth
+        assert (elim.solve(b) is not None) == truth
+        hits += truth
+        misses += not truth
+    assert hits and misses
+
+
+def test_sweep_without_journal_refuses_replays():
+    elim = SweepElimination(2, 2, 4, journal=False)
+    elim.add_row(0, {0: 1, 1: 2})
+    elim.run()
+    assert elim.invariant_factors() == [1]
+    with pytest.raises(ValueError):
+        elim.apply_row_transform({0: 1})
+
+
+@pytest.mark.parametrize("size,cap", [(40, 100), (100, 100), (500, 100),
+                                      (5000, 777)])
+def test_candidate_order_matches_stable_argsort(size, cap):
+    rng = np.random.default_rng(size + cap)
+    for high in (3, 20, 10 ** 6):   # few distinct scores: many ties
+        scores = rng.integers(0, high, size=size)
+        expected = np.argsort(scores, kind="stable")[:cap]
+        assert np.array_equal(candidate_order(scores, cap), expected)
