@@ -17,9 +17,8 @@ both as replayable journals, which power
   * forward replay     -> coordinates of an arbitrary cocycle,
   * integral solves    -> coboundary tests and primitives.
 
-Invariant factors alone need no journal, so compute_cohomology runs the
-same engine without one; the journaled run is built lazily, on the first
-query that replays.
+One cached elimination per (group, degree) serves the invariant factors
+and every replay.
 """
 
 from __future__ import annotations
@@ -119,29 +118,22 @@ def clear_caches() -> None:
     _cohomology_cache.clear()
 
 
-def get_elimination(group: FiniteGroup, degree: int,
-                    journal: bool = True) -> SweepElimination:
+def get_elimination(group: FiniteGroup, degree: int) -> SweepElimination:
     """Elimination of the coboundary matrix out of degree `degree`.
 
     The elimination runs mod |G|^2: every interesting invariant factor
     divides |G| (the averaging identity kills the torsion by |G|), so factors
     survive the reduction and stay distinguishable from free summands, while
     all arithmetic stays on small bounded residues.
-
-    journal=False asks for invariant factors only, and the engine keeps no
-    blocks.  One cache holds both kinds: a journaled entry also serves
-    factor queries, and a factors-only entry is rebuilt with a journal when
-    a replay needs one.
     """
     key = (group.cache_key(), degree)
     elim = _elim_cache.get(key)
-    if elim is None or (journal and not elim.journal):
+    if elim is None:
         _check_budget(group, degree)
         nrows = cochain_dimension(group.order, degree + 1)
         ncols = cochain_dimension(group.order, degree)
         # max() keeps the trivial group legal; its matrices are empty anyway
-        elim = SweepElimination(nrows, ncols, modulus=max(group.order ** 2, 2),
-                                journal=journal)
+        elim = SweepElimination(nrows, ncols, modulus=max(group.order ** 2, 2))
         for i, entries in differential_rows(group, degree):
             elim.add_row(i, entries)
         elim.run()
@@ -202,9 +194,8 @@ def _check_budget(group: FiniteGroup, degree: int) -> None:
 def compute_cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     """H^degree(group, Q/Z), invariant factors in ascending divisibility order.
 
-    Factors are computed eagerly by an elimination without a journal;
-    generating cocycles and class coordinates pull in the journaled one on
-    first use.
+    Factors are computed eagerly; generating cocycles are built on first
+    use, from the same cached elimination.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -213,7 +204,7 @@ def compute_cohomology(group: FiniteGroup, degree: int) -> CohomologyGroup:
     if cached is not None:
         return cached
     _check_budget(group, degree)
-    elim = get_elimination(group, degree, journal=False)
+    elim = get_elimination(group, degree)
     factors = elim.nontrivial_factors()
     for f in factors:
         # torsion beyond the group order means a free summand leaked through
@@ -231,11 +222,6 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
     degree = cohomology.degree
     elim = get_elimination(group, degree)
     pivots = elim.nontrivial_pivots()
-    factors = [elim.pivot_factor(s) for _, _, s in pivots]
-    if factors != cohomology.invariant_factors:
-        raise InternalCheckError(
-            "journaled and factors-only eliminations disagree on invariant "
-            "factors")
     generators = []
     for r, c, s in pivots:
         # the column transform turns the pivot relation around: with
@@ -258,7 +244,7 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
         generators.append(gen)
     for i, gen in enumerate(generators):
         coords = class_coordinates(gen, cohomology)
-        expected = [1 if j == i else 0 for j in range(len(factors))]
+        expected = [1 if j == i else 0 for j in range(len(generators))]
         if coords != expected:
             raise InternalCheckError("generator coordinates are not unit vectors")
     return generators

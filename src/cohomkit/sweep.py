@@ -21,7 +21,7 @@ Smith chain; whatever residue has no units left is handed to the exact
 dict-based reducer in linalg, which is small by then, returns the
 nontrivial chain and keeps its own journal.
 
-With journal=True each sweep k also records its pivots (original row and
+Each sweep k also records its pivots (original row and
 column ids, units), C_k in original row ids and the pivot rows
 P_k = A[rows_P, :] in original column ids, without their pivot entries.
 C_k vanishes on rows_P, so the sweep's row operation I + C_k E_P has the
@@ -34,8 +34,6 @@ int64 vector, plus the residue's journal:
   * V y and solves   the residue's column replay or solve, then the pivot
                      columns back-substituted in reverse sweep order,
                      x[c_p] = (y[r_p] - sum_{t != c_p} P_k[r_p, t] x[t]) / u_p.
-
-A factors-only run (journal=False) stores no blocks.
 
 All arithmetic is mod M.  Callers chasing torsion that divides m should
 pass M = m*m so torsion factors stay distinguishable from free summands
@@ -57,13 +55,15 @@ from .linalg import InternalCheckError, SparseElimination
 _MAX_CANDIDATES = 200_000
 
 
-def candidate_order(scores: np.ndarray, cap: int = _MAX_CANDIDATES) -> np.ndarray:
-    """np.argsort(scores, kind="stable")[:cap], without sorting them all.
+def candidate_order(scores: np.ndarray) -> np.ndarray:
+    """np.argsort(scores, kind="stable")[:_MAX_CANDIDATES], without
+    sorting them all.
 
-    The cap-th smallest score is found by a partition; every candidate
-    scoring at most that much is kept in index order and stable-sorted, so
-    ties break by index exactly as in the full stable sort.
+    The _MAX_CANDIDATES-th smallest score is found by a partition; every
+    candidate scoring at most that much is kept in index order and
+    stable-sorted, so ties break by index exactly as in the full stable sort.
     """
+    cap = _MAX_CANDIDATES
     if scores.size <= cap:
         return np.argsort(scores, kind="stable")
     threshold = np.partition(scores, cap - 1)[cap - 1]
@@ -74,14 +74,12 @@ def candidate_order(scores: np.ndarray, cap: int = _MAX_CANDIDATES) -> np.ndarra
 class SweepElimination:
     """Elimination mod M > 1 of a matrix given by sparse rows."""
 
-    def __init__(self, nrows: int, ncols: int, modulus: int,
-                 journal: bool = True):
+    def __init__(self, nrows: int, ncols: int, modulus: int):
         if modulus <= 1:
             raise ValueError("sweep elimination needs a modulus > 1")
         self.nrows = nrows
         self.ncols = ncols
         self.modulus = modulus
-        self.journal = journal
         self._coo_r: list[int] = []
         self._coo_c: list[int] = []
         self._coo_v: list[int] = []
@@ -92,7 +90,7 @@ class SweepElimination:
         self.sweeps = 0
         # per sweep: (rows, cols, units, inverse units, C_k, off-pivot P_k)
         self._blocks: list[tuple] = []
-        self._unit_rows = np.zeros(nrows if journal else 0, dtype=bool)
+        self._unit_rows = np.zeros(nrows, dtype=bool)
         self._pivots: list[tuple[int, int, int]] | None = None
 
     def add_row(self, i: int, entries: dict[int, int]) -> None:
@@ -192,9 +190,8 @@ class SweepElimination:
                  np.concatenate(([0], np.cumsum(np.bincount(
                      col_of_entry[keep], minlength=k))))),
                 shape=(nr, k))
-            if self.journal:
-                self._record(row_ids, col_ids, rows_p, cols_p, pivot_units,
-                             inv_table, c_mat, p)
+            self._record(row_ids, col_ids, rows_p, cols_p, pivot_units,
+                         inv_table, c_mat, p)
             delta = (c_mat @ p).tocsr()
             a = (a + delta).tocsr()
             a.data %= m
@@ -270,11 +267,11 @@ class SweepElimination:
     def pivots(self) -> list[tuple[int, int, int]]:
         """All pivots (row, col, value): the sweeps' units, then the residue's."""
         if self._pivots is None:
-            self._journaled()
+            core = self._residue()
             out: list[tuple[int, int, int]] = []
             for rows, cols, units, *_ in self._blocks:
                 out.extend(zip(rows.tolist(), cols.tolist(), units.tolist()))
-            out.extend(self._core.pivots)
+            out.extend(core.pivots)
             self._pivots = out
         return self._pivots
 
@@ -284,12 +281,6 @@ class SweepElimination:
                 + self._residue().journal_size())
 
     # -- journal replays on dense vectors mod M --
-
-    def _journaled(self) -> SparseElimination:
-        core = self._residue()
-        if not self.journal:
-            raise ValueError("elimination was run without a journal")
-        return core
 
     def _dense(self, vec: dict[int, int], size: int) -> np.ndarray:
         m = self.modulus
@@ -323,7 +314,7 @@ class SweepElimination:
 
     def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
         """y = U b."""
-        core = self._journaled()
+        core = self._residue()
         b = self._forward(self._dense(vec, self.nrows))
         out = self._sparse(b, self._unit_rows)
         out.update(core.apply_row_transform(self._sparse(b, ~self._unit_rows)))
@@ -332,19 +323,19 @@ class SweepElimination:
     def coker_vector(self, r: int) -> dict[int, int]:
         """U^-1 e_r."""
         m = self.modulus
-        b = self._dense(self._journaled().coker_vector(r), self.nrows)
+        b = self._dense(self._residue().coker_vector(r), self.nrows)
         for rows, _, _, _, c, _ in reversed(self._blocks):
             b = (b - c @ b[rows]) % m
         return self._sparse(b)
 
     def apply_col_transform(self, y: dict[int, int]) -> dict[int, int]:
         """x = V y."""
-        x = self._dense(self._journaled().apply_col_transform(y), self.ncols)
+        x = self._dense(self._residue().apply_col_transform(y), self.ncols)
         return self._sparse(self._back_substitute(x))
 
     def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
         """Particular solution of A x = b mod M, else None."""
-        core = self._journaled()
+        core = self._residue()
         y = self._forward(self._dense(b, self.nrows))
         x = core.solve(self._sparse(y, ~self._unit_rows))
         if x is None:
@@ -354,6 +345,6 @@ class SweepElimination:
     def solvable(self, b: dict[int, int]) -> bool:
         """Solvability test only: unit pivot rows always solve, so only
         the rest goes to the residue."""
-        core = self._journaled()
+        core = self._residue()
         y = self._forward(self._dense(b, self.nrows))
         return core.solvable(self._sparse(y, ~self._unit_rows))
