@@ -21,9 +21,9 @@ Smith chain; whatever residue has no units left is handed to the exact
 dict-based reducer in linalg, which is small by then, returns the
 nontrivial chain and keeps its own journal.
 
-Each sweep k also records its pivots (original row and
-column ids, units), C_k in original row ids and the pivot rows
-P_k = A[rows_P, :] in original column ids, without their pivot entries.
+Each sweep k also records its pivots (original row and column ids,
+units), C_k in original row ids and the pivot rows P_k = A[rows_P, :] in
+original column ids, without their pivot entries.
 C_k vanishes on rows_P, so the sweep's row operation I + C_k E_P has the
 inverse I - C_k E_P, and its column operations are a back-substitution
 through P_k.  Every replay is then one sparse mat-vec per sweep on a dense
