@@ -19,13 +19,8 @@ import sys
 import time
 
 from .cochains import CochainError, cochain_dimension
-from .cohomology import (
-    SIZE_BUDGET_ENV,
-    SizeBudgetError,
-    class_coordinates,
-    compute_cohomology,
-)
-from .groups import FiniteGroup, GroupFormatError, from_label
+from .cohomology import SizeBudgetError, class_coordinates, compute_cohomology
+from .groups import FiniteGroup, GroupFormatError
 from .lifting import CoverExhaustionError, default_catalog, realize
 from .skeletons import (
     DescentError,
@@ -81,6 +76,12 @@ class _Report:
                 print(f"{key}: {value}")
 
 
+def _add_shape(report: _Report, cohomology) -> None:
+    """The `H^n = Z/a + ...` line, keyed by its left-hand side."""
+    key, value = cohomology.describe().split(" = ", 1)
+    report.add(key, value)
+
+
 def _load_group(token: str) -> FiniteGroup:
     return resolve_group(token, os.getcwd())
 
@@ -106,8 +107,7 @@ def _cmd_coh(args, report: _Report) -> int:
     rows = cochain_dimension(group.order, args.degree + 1)
     cols = cochain_dimension(group.order, args.degree)
     report.add("matrix", f"{rows} x {cols}")
-    report.add(cohomology.describe().split(" = ")[0],
-               cohomology.describe().split(" = ", 1)[1])
+    _add_shape(report, cohomology)
     if args.dump_generators:
         os.makedirs(args.dump_generators, exist_ok=True)
         written = []
@@ -124,8 +124,7 @@ def _describe_defect(defect, report: _Report) -> None:
     report.add("base", f"{defect.base.name} (order {defect.base.order})")
     report.add("defect_entries", len(defect.cocycle.entries))
     report.add("class", _coords_text(class_coordinates(defect.cocycle, cohomology)))
-    report.add(cohomology.describe().split(" = ")[0],
-               cohomology.describe().split(" = ", 1)[1])
+    _add_shape(report, cohomology)
 
 
 def _cmd_defect(args, report: _Report) -> int:
@@ -183,8 +182,7 @@ def _cmd_lift(args, report: _Report) -> int:
     skeleton = realize(group, coords, cohomology,
                        default_catalog(args.max_cover))
     report.add("group", f"{group.name} (order {group.order})")
-    report.add(cohomology.describe().split(" = ")[0],
-               cohomology.describe().split(" = ", 1)[1])
+    _add_shape(report, cohomology)
     report.add("omega", _coords_text(coords))
     report.add("cover", f"{skeleton.cover.name} (order {skeleton.cover.order})")
     report.add("grading", list(skeleton.grading.images))
@@ -200,8 +198,7 @@ def _cmd_witt(args, report: _Report) -> int:
     cohomology = compute_cohomology(group, 4)
     element = evaluate_expression(args.expr, cohomology)
     report.add("group", f"{group.name} (order {group.order})")
-    report.add(cohomology.describe().split(" = ")[0],
-               cohomology.describe().split(" = ", 1)[1])
+    _add_shape(report, cohomology)
     report.add("element", element.describe())
     word = phi(element)
     report.add("w_part",

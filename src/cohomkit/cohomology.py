@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from .cochains import (
@@ -34,7 +33,6 @@ from .cochains import (
     coboundary,
     cochain_dimension,
     from_int_vector,
-    index_to_tuple,
     is_cocycle,
     lcm_denominator,
     qz_from_scaled_vector,
@@ -250,6 +248,14 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
     return generators
 
 
+def _integer_lift(f: Cochain) -> tuple[int, Cochain]:
+    """N and the integer cochain N * (lift of f), N the common denominator
+    of the circle-valued cochain f and the lift taking values in [0, 1)."""
+    scale = lcm_denominator(f)
+    return scale, Cochain(f.group, f.degree, "int", {
+        key: val.num * (scale // val.den) for key, val in f.entries.items()})
+
+
 def _bockstein_vector(f: Cochain) -> dict[int, int]:
     """Integer vector of the connecting cocycle d(lift f), indexed over
     (degree+1)-tuples.
@@ -259,13 +265,9 @@ def _bockstein_vector(f: Cochain) -> dict[int, int]:
     """
     if f.kind != "qz":
         raise CochainError("connecting map needs circle-valued cochains")
-    group = f.group
-    n = f.degree
-    scale = lcm_denominator(f)
-    lifted = Cochain(group, n, "int", {
-        key: val.num * (scale // val.den) for key, val in f.entries.items()})
+    scale, lifted = _integer_lift(f)
     zc = coboundary(lifted)
-    order = group.order
+    order = f.group.order
     out: dict[int, int] = {}
     for key, v in zc.entries.items():
         q, rem = divmod(v, scale)
@@ -330,13 +332,12 @@ def is_coboundary(f: Cochain, method: str = "bockstein") -> bool:
         raise ValueError(f"unknown method {method!r}")
     if f.degree == 0:
         return f.is_zero()
-    if f.degree == 1:
-        # trivial action: the degree-0 coboundary map vanishes
-        if not is_cocycle(f):
-            raise CochainError("coboundary test expects a cocycle")
-        return f.is_zero()
     if not is_cocycle(f):
         raise CochainError("coboundary test expects a cocycle")
+    if f.degree == 1 or f.is_zero():
+        # zero bounds; with the trivial action the degree-0 coboundary map
+        # vanishes, so nothing else bounds in degree 1
+        return f.is_zero()
     elim = get_elimination(f.group, f.degree)
     return elim.solvable(_bockstein_vector(f))
 
@@ -347,65 +348,38 @@ def coboundary_primitive(f: Cochain) -> Cochain:
     Strategy: one solve pulls the connecting cocycle z back to an integer
     cochain u with du = z exactly.  A modular journal only gives du = z up to
     a multiple M*w, but w is then an integer cocycle and the averaging
-    homotopy produces the missing primitive of m*w, closing the gap.  Once u
-    is exact, F - u is a rational cocycle and averaging divides it by |G|,
-    again exactly: no rounding anywhere.
+    homotopy produces the missing primitive of M*w, closing the gap.  Once u
+    is exact, N*lift(f) - N*u is an integer cocycle (N the common
+    denominator of f), and averaging it gives a primitive of |G| times it;
+    read over the denominator N*|G|, that primitive is g.  No rounding
+    anywhere.
     """
     group = f.group
     n = f.degree
     if n == 0:
         raise CochainError("degree-0 cochains have no primitives")
-    if n == 1 and f.is_zero():
-        return zero_cochain(group, 0, "qz")
     if not is_cocycle(f):
         raise CochainError("primitive requested for a non-cocycle")
+    if f.is_zero():
+        return zero_cochain(group, n - 1)
     elim = get_elimination(group, n)
     z = _bockstein_vector(f)
     x = elim.solve(z)
     if x is None:
         raise CochainError("cochain is not a coboundary")
-    order = group.order
-    u_cochain = from_int_vector(group, n, x)
-    if elim.modulus:
-        mod = elim.modulus
-        gap = from_int_vector(group, n + 1, z) - coboundary(u_cochain)
-        w_entries = {}
-        for key, v in gap.entries.items():
-            q, rem = divmod(v, mod)
-            if rem:
-                raise CochainError("modular solve left a non-divisible gap")
-            w_entries[key] = q
-        if w_entries:
-            w = Cochain(group, n + 1, "int", w_entries)
-            u_cochain = u_cochain + torsion_primitive(w).scale(mod // order)
-    # rational cocycle F - u, kept as Fractions keyed by tuples
-    rational: dict[tuple[int, ...], Fraction] = {}
-    for key, val in f.entries.items():
-        rational[key] = val.as_fraction()
-    for key, val in u_cochain.entries.items():
-        s = rational.get(key, Fraction(0)) - val
-        if s:
-            rational[key] = s
-        else:
-            rational.pop(key, None)
-    # averaging: w(g_1..g_{n-1}) = sum_h c(g_1..g_{n-1}, h), d w = (-1)^n |G| c
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for key, val in rational.items():
-        head = key[:-1]
-        if 0 in head:
-            continue
-        s = acc.get(head, Fraction(0)) + val
-        if s:
-            acc[head] = s
-        else:
-            acc.pop(head, None)
-    scale = Fraction(1 if n % 2 == 0 else -1, order)
-    entries = {}
-    for key, val in acc.items():
-        q = QZ.from_fraction(val * scale)
-        if q:
-            entries[key] = q
-    g = Cochain(group, n - 1, "qz", entries)
+    u = from_int_vector(group, n, x)
+    mod = elim.modulus
+    gap = from_int_vector(group, n + 1, z) - coboundary(u)
+    if any(v % mod for v in gap.entries.values()):
+        raise CochainError("modular solve left a non-divisible gap")
+    w = Cochain(group, n + 1, "int",
+                {key: v // mod for key, v in gap.entries.items()})
+    u = u + torsion_primitive(w).scale(mod // group.order)
+    scale, lifted = _integer_lift(f)
+    h = torsion_primitive(lifted - u.scale(scale))
+    denominator = scale * group.order
+    g = Cochain(group, n - 1, "qz",
+                {key: QZ(v, denominator) for key, v in h.entries.items()})
     if coboundary(g) != f:
         raise InternalCheckError("primitive does not bound the cochain")
     return g

@@ -302,36 +302,20 @@ def generating_set(g: FiniteGroup) -> list[int]:
 
 def _word_table(g: FiniteGroup, gens: Sequence[int]):
     """BFS parent pointers: element -> (previous element, generator index),
-    so images extend from generator images in one pass."""
+    and the BFS discovery order, so images extend from generator images in
+    one pass."""
     parent: list[Optional[tuple[int, int]]] = [None] * g.order
     seen = {0}
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for gi, gen in enumerate(gens):
-                y = g.table[x][gen]
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = (x, gi)
-                    nxt.append(y)
-        queue = nxt
+    order = [0]
+    for x in order:  # order grows while it is walked: it is the BFS queue
+        for gi, gen in enumerate(gens):
+            y = g.table[x][gen]
+            if y not in seen:
+                seen.add(y)
+                parent[y] = (x, gi)
+                order.append(y)
     if len(seen) != g.order:
         raise GroupFormatError("generating set does not generate")  # internal
-    order = [0]
-    seen2 = {0}
-    # deterministic extension order: BFS again
-    queue = [0]
-    while queue:
-        nxt = []
-        for x in queue:
-            for gi, gen in enumerate(gens):
-                y = g.table[x][gen]
-                if y not in seen2:
-                    seen2.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        queue = nxt
     return parent, order
 
 

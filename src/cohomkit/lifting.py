@@ -11,37 +11,26 @@ here runs over a finite catalog in ascending group order and reports, on
 exhaustion, what happened with every candidate.  Failure therefore means
 "catalog too small", never "no cover exists".
 
-The primitive solver follows the rational-lift route: lift the pulled-back
-cocycle to rational values, correct by an integer 4-cochain with the same
-coboundary (one exact integral solve), and contract the remaining rational
-cocycle by averaging, which is exact because positive-degree rational
-cohomology of a finite group vanishes.  The degree-3 modular solver in the
-cohomology module is an independent primitive route used as a cross-check
-in the tests; the two attack different linear systems.
+The associator is the primitive of the pullback from the cohomology
+module's one solver (coboundary_primitive): one exact integral solve on the
+cover's degree-4 elimination, the same cached elimination that the cover
+search's coboundary test replays, then the averaging homotopy, which is
+exact because positive-degree rational cohomology of a finite group
+vanishes.  The independent check on the cover decision is the modular
+bounded-denominator coboundary test, which the tests run on the same
+pullbacks.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .qz import QZ
-from .cochains import (
-    Cochain,
-    CochainError,
-    coboundary,
-    from_int_vector,
-    is_cocycle,
-    pullback,
-    torsion_primitive,
-    zero_cochain,
-)
+from .cochains import Cochain, CochainError, is_cocycle, pullback, zero_cochain
 from .cohomology import (
     CohomologyGroup,
     SizeBudgetError,
-    _bockstein_vector,
     _check_budget,
     class_coordinates,
+    coboundary_primitive,
     compute_cohomology,
-    get_elimination,
     is_coboundary,
 )
 from .groups import FiniteGroup, GroupHom, catalog_labels, enumerate_surjections, from_label
@@ -150,74 +139,12 @@ def find_cover(base: FiniteGroup, cocycle: Cochain,
 
 
 def solve_primitive(hom: GroupHom, cocycle: Cochain) -> Cochain:
-    """A degree-3 cochain on the cover whose coboundary is the pullback.
-
-    Rational-lift route.  The lift of the pullback has an integer
-    coboundary (the connecting cocycle); one solve finds an integer
-    4-cochain with that same coboundary, exactly, after the averaging
-    homotopy closes the modular gap.  Lift minus correction is then a
-    rational 4-cocycle, and averaging over the last argument contracts it
-    to the primitive.  Everything is exact; the result is checked to
-    bound the pullback entrywise.
-    """
+    """A degree-3 cochain on the cover whose coboundary is the pullback."""
     if hom.target.table != cocycle.group.table:
         raise CochainError("homomorphism target does not match the cocycle group")
     if cocycle.degree != 4 or cocycle.kind != "qz":
         raise CochainError("primitive solver expects a degree-4 Q/Z cochain")
-    cover = hom.source
-    lifted = pullback(hom, cocycle)
-    if lifted.is_zero():
-        # zero is a valid primitive and the canonical deterministic choice
-        return zero_cochain(cover, 3)
-    if not is_cocycle(lifted):
-        raise CochainError("primitive solver expects a cocycle")
-    elim = get_elimination(cover, 4)
-    connecting = _bockstein_vector(lifted)
-    solved = elim.solve(connecting)
-    if solved is None:
-        raise CochainError("pullback does not bound: choose a better cover")
-    correction = from_int_vector(cover, 4, solved)
-    mod = elim.modulus
-    gap = from_int_vector(cover, 5, connecting) - coboundary(correction)
-    deficit = {}
-    for key, v in gap.entries.items():
-        q, rem = divmod(v, mod)
-        if rem:
-            raise CochainError("modular solve left a non-divisible gap")
-        deficit[key] = q
-    if deficit:
-        witness = torsion_primitive(Cochain(cover, 5, "int", deficit))
-        correction = correction + witness.scale(mod // cover.order)
-    rational: dict[tuple[int, ...], Fraction] = {
-        key: val.as_fraction() for key, val in lifted.entries.items()}
-    for key, val in correction.entries.items():
-        s = rational.get(key, Fraction(0)) - val
-        if s:
-            rational[key] = s
-        else:
-            rational.pop(key, None)
-    # contraction: row sums over the last argument; degree 4 is even, so
-    # the primitive is +1/|cover| times the contraction
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for key, val in rational.items():
-        head = key[:-1]
-        if 0 in head:
-            continue
-        s = acc.get(head, Fraction(0)) + val
-        if s:
-            acc[head] = s
-        else:
-            acc.pop(head, None)
-    scale = Fraction(1, cover.order)
-    entries = {}
-    for key, val in acc.items():
-        q = QZ.from_fraction(val * scale)
-        if q:
-            entries[key] = q
-    primitive = Cochain(cover, 3, "qz", entries)
-    if coboundary(primitive) != lifted:
-        raise InternalCheckError("primitive does not bound the pullback")
-    return primitive
+    return coboundary_primitive(pullback(hom, cocycle))
 
 
 def realize(base: FiniteGroup, coordinates, h4: CohomologyGroup | None = None,

@@ -39,12 +39,14 @@ from .cochains import (
     CochainError,
     coboundary,
     cochain_dimension,
+    from_int_vector,
     is_cocycle,
     lcm_denominator,
     scaled_lift_vector,
     tuple_to_index,
 )
 from .groups import FiniteGroup
+from .linalg import InternalCheckError
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -326,16 +328,12 @@ def invariant_factors_modular(group: FiniteGroup, degree: int) -> list[int]:
     below = _basis_coboundary_rows(group, n - 1, m)
     b_rows = [r for r in below if r]
     for ygen in _kernel_generators(below, cochain_dimension(order, n - 1), m):
-        entries = {}
-        for j, v in ygen.items():
-            entries[_index_to_key(order, n - 1, j)] = v
-        lifted = Cochain(group, n - 1, "int", entries)
-        z = coboundary(lifted)
+        z = coboundary(from_int_vector(group, n - 1, ygen))
         beta = {}
         for t, v in z.entries.items():
             q, rem = divmod(v, m)
             if rem:
-                raise AssertionError("kernel generator is not a mod-m cocycle")
+                raise InternalCheckError("kernel generator is not a mod-m cocycle")
             q %= m
             if q:
                 beta[tuple_to_index(order, t)] = q
@@ -373,15 +371,6 @@ def invariant_factors_modular(group: FiniteGroup, degree: int) -> list[int]:
             layer[p].append(prev - cur)
             prev = cur
     return _layer_counts_to_factors(layer)
-
-
-def _index_to_key(order: int, degree: int, idx: int) -> tuple[int, ...]:
-    base = order - 1
-    out = []
-    for _ in range(degree):
-        idx, r = divmod(idx, base)
-        out.append(r + 1)
-    return tuple(reversed(out))
 
 
 def _kernel_generators_transposed(rows: list[dict[int, int]], dim: int,

@@ -33,16 +33,10 @@ class TextFormatError(ValueError):
 
 def parse_qz(token: str) -> QZ:
     """Accepts `num/den` or a bare integer (an integer is zero mod 1)."""
-    if "/" in token:
-        num_text, den_text = token.split("/", 1)
-        try:
-            return QZ(int(num_text), int(den_text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TextFormatError(f"bad circle value {token!r}: {exc}") from exc
     try:
-        return QZ(int(token))
-    except ValueError as exc:
-        raise TextFormatError(f"bad circle value {token!r}") from exc
+        return QZ.parse(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise TextFormatError(f"bad circle value {token!r}: {exc}") from exc
 
 
 def format_qz(value: QZ) -> str:
@@ -50,26 +44,19 @@ def format_qz(value: QZ) -> str:
 
 
 class _Lines:
-    """Non-blank, comment-stripped lines with one-line pushback."""
+    """Non-blank, comment-stripped lines, numbered for error messages."""
 
     def __init__(self, iterable):
         self.source = iter(iterable)
-        self.pending = None
         self.number = 0
 
     def next(self):
-        if self.pending is not None:
-            line, self.pending = self.pending, None
-            return line
         for raw in self.source:
             self.number += 1
             line = raw.split("#", 1)[0].strip()
             if line:
                 return line
         raise TextFormatError("unexpected end of input")
-
-    def push(self, line):
-        self.pending = line
 
 
 def _expect(lines: _Lines, keyword: str) -> list[str]:

@@ -5,7 +5,15 @@ import textwrap
 
 import pytest
 
-from cohomkit.cochains import Cochain, CochainError, coboundary, is_cocycle, random_qz_cochain
+import cohomkit.cohomology as cohomology
+from cohomkit.cochains import (
+    Cochain,
+    CochainError,
+    coboundary,
+    is_cocycle,
+    random_qz_cochain,
+    zero_cochain,
+)
 from cohomkit.cohomology import (
     SIZE_BUDGET_ENV,
     SizeBudgetError,
@@ -248,3 +256,19 @@ def test_exactness_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "debug False", "raised generator failed the cocycle check"]
+
+
+def test_zero_cocycle_needs_no_elimination(monkeypatch):
+    # elem:2^4 at degree 4 is over the default budget, so any elimination
+    # would raise; zero bounds, with zero as its primitive, without one
+    def no_elimination(group, degree):
+        pytest.fail("zero cocycle reached get_elimination")
+
+    monkeypatch.delenv(SIZE_BUDGET_ENV, raising=False)
+    monkeypatch.setattr(cohomology, "get_elimination", no_elimination)
+    zero = zero_cochain(from_label("elem:2^4"), 4)
+    assert is_coboundary(zero)
+    primitive = coboundary_primitive(zero)
+    assert primitive.is_zero()
+    assert (primitive.group, primitive.degree, primitive.kind) == (
+        zero.group, 3, "qz")

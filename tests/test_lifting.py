@@ -18,7 +18,7 @@ from cohomkit.cohomology import (
     compute_cohomology,
     is_coboundary,
 )
-from cohomkit.groups import from_label
+from cohomkit.groups import enumerate_surjections, from_label
 import cohomkit.lifting as lifting
 from cohomkit.lifting import (
     CoverExhaustionError,
@@ -213,3 +213,28 @@ def test_same_order_candidates_are_not_pulled_back(monkeypatch):
     assert (klein.surjections, klein.outcome) == (
         6, "same order as the base: every surjection is an isomorphism")
     assert pulled == []
+
+
+def test_cover_decision_matches_the_bounded_oracle():
+    # the modular bounded-denominator test decides exactness on its own
+    # linear system; on every order-8 pullback of every nonzero class of
+    # H^4(V4) it must agree with the test the cover search runs
+    base = from_label(V4)
+    h4 = v4_h4()
+    outcomes = []
+    for coords in ((1, 0), (0, 1), (1, 1)):
+        target = zero_cochain(base, 4)
+        for c, g in zip(coords, h4.generators):
+            if c:
+                target = target + g.scale(c)
+        for label in ("dihedral:4", "quaternion:8",
+                      "product:cyclic:2 x cyclic:4"):
+            for hom in enumerate_surjections(from_label(label), base):
+                lifted = pullback(hom, target)
+                bounds = is_coboundary(lifted)
+                assert bounds == is_coboundary(lifted, "bounded"), (
+                    label, coords, hom.images)
+                outcomes.append(bounds)
+    # both answers occur, so the agreement is not vacuous
+    assert len(outcomes) == 54
+    assert 0 < sum(outcomes) < len(outcomes)
