@@ -10,6 +10,12 @@ are never stored.  The coboundary is
 
 with any argument tuple containing the identity contributing zero; on the
 normalized subcomplex this closes, so results stay normalized.
+
+face_slabs encodes these faces and signs once, as index arrays with one slab
+of (n+1)-tuples per first argument.  coboundary, the cohomology module's
+matrix rows and Bockstein vectors, the cross-check's relation columns and
+pentagon descent all read it, one slab at a time.  coboundary_at evaluates
+one tuple straight off the formula: the pointwise reference.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
+
+import numpy as np
 
 from .groups import FiniteGroup, GroupHom
 from .qz import QZ
@@ -114,40 +122,90 @@ def zero_cochain(group: FiniteGroup, degree: int, kind: str = QZ_KIND) -> Cochai
     return Cochain(group, degree, kind, {})
 
 
-def coboundary(f: Cochain) -> Cochain:
-    """Sparse coboundary: scatter each support entry into the (n+1)-tuples
-    whose alternating sum reads it, so cost scales with the support."""
-    g = f.group
-    order = g.order
-    n = f.degree
-    table = g.table
-    acc: dict[tuple[int, ...], Value] = {}
+def face_slabs(group: FiniteGroup, degree: int):
+    """The faces and signs of the differential out of C^degree, one slab per
+    first argument, as every differential in the package reads them.
 
-    def put(key, val):
-        s = acc.get(key)
-        acc[key] = val if s is None else s + val
+    For g1 = 1, ..., order-1 yields a list of (sign, index) pairs, one per
+    face in the order of the formula above.  index[r] is the tuple_to_index
+    of that face of the r-th tuple (g1, ...) in lexicographic order, or -1
+    where the face touches the identity; a vector padded with one trailing
+    zero answers those entries with zero.
+    """
+    order = group.order
+    t = order - 1
+    table = np.asarray(group.table)
+    weights = [t ** (degree - 1 - j) for j in range(degree)]
+    rest = list(np.ix_(*[np.arange(1, order)] * degree))
 
-    inv = g.inv_table
-    last_sign = -1 if (n + 1) % 2 else 1
+    def index(face):
+        idx = sum((x - 1) * w for x, w in zip(face, weights))
+        hole = sum(x == 0 for x in face)
+        return np.broadcast_to(np.where(hole, -1, idx), (t,) * degree).ravel()
+
+    for g1 in range(1, order):
+        x = [g1] + rest
+        faces = [x[1:]]
+        faces += [x[:i - 1] + [table[x[i - 1], x[i]]] + x[i + 1:]
+                  for i in range(1, degree + 1)]
+        faces.append(x[:degree])
+        yield [((-1) ** i, index(face)) for i, face in enumerate(faces)]
+
+
+def coboundary_slabs(f: Cochain):
+    """d(N * lift f), one array per first argument g1 = 1, 2, ... in the
+    order of face_slabs, with N = lcm_denominator(f) for a Q/Z cochain (lift
+    in [0, 1)) and 1 for an int one.
+
+    Each slab is a gather-and-sum of the dense numerator vector, which is
+    filled straight from the entries.  Sums stay in int64 while
+    (degree+2) * max(|value|, N) is below 2^63, and are exact Python ints
+    (dtype=object) beyond.
+    """
+    order = f.group.order
+    qz = f.kind == QZ_KIND
+    scale = lcm_denominator(f) if qz else 1
+    top = scale if qz else max(map(abs, f.entries.values()), default=0)
+    dtype = object if (f.degree + 2) * top >= 2 ** 63 else np.int64
+    dense = np.zeros(cochain_dimension(order, f.degree) + 1, dtype=dtype)
     for key, val in f.entries.items():
-        nval = -val
-        lastval = val if last_sign == 1 else nval
-        for x in range(1, order):
-            put((x,) + key, val)                       # f(g2..g_{n+1})
-            put(key + (x,), lastval)
-        for i in range(n):                              # merged argument i+1
-            signed = nval if (i + 1) % 2 else val
-            target = key[i]
-            head, tail = key[:i], key[i + 1:]
-            for a in range(1, order):
-                b = table[inv[a]][target]
-                if b != 0:
-                    put(head + (a, b) + tail, signed)
-    return Cochain(g, n + 1, f.kind, acc)
+        dense[tuple_to_index(order, key)] = val.num * (scale // val.den) if qz else val
+    for faces in face_slabs(f.group, f.degree):
+        yield sum(sign * dense[index] for sign, index in faces)
+
+
+def _nonzero(slabs):
+    """(index, value) of the nonzero entries of consecutive slabs."""
+    offset = 0
+    for vals in slabs:
+        for r in np.flatnonzero(vals).tolist():
+            yield offset + r, int(vals[r])
+        offset += len(vals)
+
+
+def divided_coboundary(f: Cochain, divisor: int) -> dict[int, int] | None:
+    """d(N * lift f) / divisor as a sparse vector over (degree+1)-tuples (N
+    as in coboundary_slabs), or None where some entry is not divisible."""
+    out: dict[int, int] = {}
+    for i, v in _nonzero(coboundary_slabs(f)):
+        out[i], rem = divmod(v, divisor)
+        if rem:
+            return None
+    return out
+
+
+def coboundary(f: Cochain) -> Cochain:
+    """df, read slab by slab from coboundary_slabs, nonzero entries kept."""
+    if f.kind == QZ_KIND:
+        scale = lcm_denominator(f)
+        vec = _nonzero(vals % scale for vals in coboundary_slabs(f))
+        return qz_from_scaled_vector(f.group, f.degree + 1, dict(vec), scale)
+    return from_int_vector(f.group, f.degree + 1, dict(_nonzero(coboundary_slabs(f))))
 
 
 def coboundary_at(f: Cochain, key: tuple[int, ...]) -> Value:
-    """Direct evaluation of (df) at one (n+1)-tuple."""
+    """(df) at one (n+1)-tuple, straight off the formula: the pointwise
+    reference that the slab kernel is tested against."""
     g = f.group
     n = f.degree
     if len(key) != n + 1:
@@ -196,8 +254,6 @@ def average_last(f: Cochain) -> Cochain:
     acc: dict[tuple[int, ...], Value] = {}
     for key, val in f.entries.items():
         head = key[:-1]
-        if any(i == 0 for i in head):
-            continue
         s = acc.get(head)
         acc[head] = val if s is None else s + val
     return Cochain(f.group, f.degree - 1, f.kind, acc)

@@ -25,19 +25,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
+
+import numpy as np
 
 from .cochains import (
     Cochain,
     CochainError,
     coboundary,
     cochain_dimension,
+    divided_coboundary,
+    face_slabs,
     from_int_vector,
     is_cocycle,
     lcm_denominator,
     qz_from_scaled_vector,
+    scaled_lift_vector,
     torsion_primitive,
-    tuple_to_index,
     zero_cochain,
 )
 from .groups import FiniteGroup
@@ -67,44 +70,22 @@ def differential_rows(group: FiniteGroup, degree: int):
     """Rows of the integer coboundary matrix C^degree -> C^{degree+1}.
 
     Rows are indexed by non-identity (degree+1)-tuples in lexicographic
-    order, columns by degree-tuples.  Yields (row_index, {col: coeff}).
+    order, columns by degree-tuples; the entries are read off face_slabs.
+    Yields (row_index, {col: coeff}) in ascending row order, skipping
+    empty rows.
     """
-    n = degree
-    order = group.order
-    table = group.table
-    t = order - 1
-    pows = [t ** k for k in range(n)]
-
-    def col_index(key: tuple[int, ...]) -> int:
-        idx = 0
-        for j, g in enumerate(key):
-            idx += (g - 1) * pows[n - 1 - j]
-        return idx
-
-    last_sign = -1 if n % 2 == 0 else 1
-    for row_index, key in enumerate(product(range(1, order), repeat=n + 1)):
-        row: dict[int, int] = {}
-
-        def put(sub: tuple[int, ...], val: int) -> None:
-            if 0 in sub:
-                return
-            c = col_index(sub)
-            s = row.get(c, 0) + val
-            if s:
-                row[c] = s
-            else:
-                del row[c]
-
-        put(key[1:], 1)
-        sign = -1
-        for i in range(1, n + 1):
-            m = table[key[i - 1]][key[i]]
-            if m:
-                put(key[:i - 1] + (m,) + key[i + 1:], sign)
-            sign = -sign
-        put(key[:n], last_sign)
-        if row:
-            yield row_index, row
+    row_index = 0
+    for faces in face_slabs(group, degree):
+        signs = [sign for sign, _ in faces]
+        for cols in np.stack([index for _, index in faces], axis=1).tolist():
+            row: dict[int, int] = {}
+            for c, sign in zip(cols, signs):
+                if c >= 0:
+                    row[c] = row.get(c, 0) + sign
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                yield row_index, row
+            row_index += 1
 
 
 _elim_cache: dict[tuple, SweepElimination] = {}
@@ -248,35 +229,17 @@ def _build_generators(cohomology: CohomologyGroup) -> list[Cochain]:
     return generators
 
 
-def _integer_lift(f: Cochain) -> tuple[int, Cochain]:
-    """N and the integer cochain N * (lift of f), N the common denominator
-    of the circle-valued cochain f and the lift taking values in [0, 1)."""
-    scale = lcm_denominator(f)
-    return scale, Cochain(f.group, f.degree, "int", {
-        key: val.num * (scale // val.den) for key, val in f.entries.items()})
-
-
 def _bockstein_vector(f: Cochain) -> dict[int, int]:
     """Integer vector of the connecting cocycle d(lift f), indexed over
-    (degree+1)-tuples.
-
-    Computed as d(N * lift f) / N with N the common denominator, so the cost
-    stays proportional to the support of f.
-    """
+    (degree+1)-tuples: the slabs of d(N * lift f) divided by N, with N the
+    common denominator."""
     if f.kind != "qz":
         raise CochainError("connecting map needs circle-valued cochains")
-    scale, lifted = _integer_lift(f)
-    zc = coboundary(lifted)
-    order = f.group.order
-    out: dict[int, int] = {}
-    for key, v in zc.entries.items():
-        q, rem = divmod(v, scale)
-        if rem:
-            raise CochainError("cochain is not a cocycle: lift coboundary "
-                               "is non-integral")
-        if q:
-            out[tuple_to_index(order, key)] = q
-    return out
+    z = divided_coboundary(f, lcm_denominator(f))
+    if z is None:
+        raise CochainError("cochain is not a cocycle: lift coboundary "
+                           "is non-integral")
+    return z
 
 
 def class_coordinates(f: Cochain, cohomology: CohomologyGroup | None = None
@@ -291,6 +254,8 @@ def class_coordinates(f: Cochain, cohomology: CohomologyGroup | None = None
         raise CochainError("class coordinates are only defined for cocycles")
     if cohomology is None:
         cohomology = compute_cohomology(f.group, f.degree)
+    elif (cohomology.group.table, cohomology.degree) != (f.group.table, f.degree):
+        raise CochainError("cohomology group is for another group or degree")
     elim = cohomology.elimination
     z = _bockstein_vector(f)
     y = elim.apply_row_transform(z)
@@ -367,16 +332,16 @@ def coboundary_primitive(f: Cochain) -> Cochain:
     x = elim.solve(z)
     if x is None:
         raise CochainError("cochain is not a coboundary")
-    u = from_int_vector(group, n, x)
-    mod = elim.modulus
-    gap = from_int_vector(group, n + 1, z) - coboundary(u)
-    if any(v % mod for v in gap.entries.values()):
+    # F = N*lift(f) - N*u, with u read off x, has dF = N*(z - du) = N*M*w
+    scale = lcm_denominator(f)
+    mod = scale * elim.modulus
+    big_f = (from_int_vector(group, n, scaled_lift_vector(f, scale))
+             - from_int_vector(group, n, x).scale(scale))
+    w = divided_coboundary(big_f, mod)
+    if w is None:
         raise CochainError("modular solve left a non-divisible gap")
-    w = Cochain(group, n + 1, "int",
-                {key: v // mod for key, v in gap.entries.items()})
-    u = u + torsion_primitive(w).scale(mod // group.order)
-    scale, lifted = _integer_lift(f)
-    h = torsion_primitive(lifted - u.scale(scale))
+    w = torsion_primitive(from_int_vector(group, n + 1, w))
+    h = torsion_primitive(big_f - w.scale(mod // group.order))
     denominator = scale * group.order
     g = Cochain(group, n - 1, "qz",
                 {key: QZ(v, denominator) for key, v in h.entries.items()})

@@ -333,25 +333,19 @@ def enumerate_surjections(source: FiniteGroup, target: FiniteGroup) -> list[Grou
     parent, ext_order = _word_table(source, gens)
     found: list[GroupHom] = []
 
-    def build(images_of_gens: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        im = [0] * source.order
-        for x in ext_order[1:]:
-            p, gi = parent[x]
-            im[x] = target.table[im[p]][images_of_gens[gi]]
-        st, tt = source.table, target.table
-        for a in range(source.order):
-            row, ia = st[a], im[a]
-            trow = tt[ia]
-            for b in range(source.order):
-                if im[row[b]] != trow[im[b]]:
-                    return None
-        return tuple(im)
-
     def rec(prefix: list[int]):
         if len(prefix) == len(gens):
-            im = build(tuple(prefix))
-            if im is not None and len(set(im)) == target.order:
-                found.append(GroupHom(source, target, im))
+            # extend the generator images along the BFS tree; GroupHom
+            # validates the extension
+            im = [0] * source.order
+            for x in ext_order[1:]:
+                p, gi = parent[x]
+                im[x] = target.table[im[p]][prefix[gi]]
+            if len(set(im)) == target.order:
+                try:
+                    found.append(GroupHom(source, target, tuple(im)))
+                except GroupFormatError:
+                    pass
             return
         for t in range(target.order):
             # cheap prune: generator order must be a multiple of image order
@@ -365,14 +359,17 @@ def enumerate_surjections(source: FiniteGroup, target: FiniteGroup) -> list[Grou
 
 # -- Sylow structure ----------------------------------------------------------
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while n > 1:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+def prime_powers(m: int) -> dict[int, int]:
+    """The factorization of m as {prime: exponent}, primes ascending."""
+    out = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
         d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
     return out
 
 
@@ -405,7 +402,7 @@ def sylow_subgroup(g: FiniteGroup, p: int) -> frozenset[int]:
 
 def sylow_all_cyclic(g: FiniteGroup) -> bool:
     """True iff for every prime p | order, some Sylow p-subgroup is cyclic."""
-    for p in _prime_factors(g.order):
+    for p in prime_powers(g.order):
         syl = sylow_subgroup(g, p)
         size = len(syl)
         if not any(g.element_order(x) == size for x in syl):

@@ -240,14 +240,14 @@ class SparseElimination:
 
     # -- journal replays --
 
-    def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
-        """y = U b: forward replay of the row journal."""
+    def _replay(self, vec: dict[int, int], ops, sign: int = 1) -> dict[int, int]:
+        """vec[k] += sign * c * vec[i] for each journal op (k, i, c) in turn."""
         m = self.modulus
         y = {k: (v % m if m else v) for k, v in vec.items()}
-        for k, i, c in zip(self._row_i, self._row_j, self._row_c):
+        for k, i, c in ops:
             v = y.get(i)
             if v:
-                s = y.get(k, 0) + c * v
+                s = y.get(k, 0) + sign * c * v
                 if m:
                     s %= m
                 if s:
@@ -256,39 +256,19 @@ class SparseElimination:
                     y.pop(k, None)
         return y
 
+    def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
+        """y = U b: forward replay of the row journal."""
+        return self._replay(vec, zip(self._row_i, self._row_j, self._row_c))
+
     def coker_vector(self, r: int) -> dict[int, int]:
         """U^-1 e_r: reversed, inverted row journal applied to a unit vector."""
-        m = self.modulus
-        v = {r: 1}
-        for idx in range(len(self._row_i) - 1, -1, -1):
-            k, i, c = self._row_i[idx], self._row_j[idx], self._row_c[idx]
-            w = v.get(i)
-            if w:
-                s = v.get(k, 0) - c * w
-                if m:
-                    s %= m
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
-        return v
+        ops = list(zip(self._row_i, self._row_j, self._row_c))
+        return self._replay({r: 1}, reversed(ops), -1)
 
     def apply_col_transform(self, y: dict[int, int]) -> dict[int, int]:
         """x = V y: reversed col journal; op (t, j, c) acts as y[j] += c*y[t]."""
-        m = self.modulus
-        x = {k: (v % m if m else v) for k, v in y.items()}
-        for idx in range(len(self._col_i) - 1, -1, -1):
-            t, j, c = self._col_i[idx], self._col_j[idx], self._col_c[idx]
-            v = x.get(t)
-            if v:
-                s = x.get(j, 0) + c * v
-                if m:
-                    s %= m
-                if s:
-                    x[j] = s
-                else:
-                    x.pop(j, None)
-        return x
+        ops = list(zip(self._col_j, self._col_i, self._col_c))
+        return self._replay(y, reversed(ops))
 
     def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
         """Particular solution of D x = b (mod M in modular mode), else None."""

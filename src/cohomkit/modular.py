@@ -37,15 +37,16 @@ from math import gcd
 from .cochains import (
     Cochain,
     CochainError,
-    coboundary,
     cochain_dimension,
+    divided_coboundary,
+    face_slabs,
     from_int_vector,
     is_cocycle,
     lcm_denominator,
     scaled_lift_vector,
     tuple_to_index,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, prime_powers
 from .linalg import InternalCheckError
 
 
@@ -59,19 +60,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def _prime_powers(m: int) -> dict[int, int]:
-    out = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 class ModularEchelon:
@@ -204,10 +192,10 @@ class ModularEchelon:
     def span_order_exponents(self) -> dict[int, int]:
         """Prime-exponent dict of the span order, prod of m/gcd(pivot, m)."""
         m = self.modulus
-        out = {p: 0 for p in _prime_powers(m)}
+        out = {p: 0 for p in prime_powers(m)}
         for c, row in self.rows.items():
             contrib = m // gcd(row[c], m)
-            for p, e in _prime_powers(contrib).items():
+            for p, e in prime_powers(contrib).items():
                 out[p] += e
         return out
 
@@ -247,21 +235,20 @@ def _basis_coboundary_rows(group: FiniteGroup, degree: int, modulus: int
     """Mod-modulus coboundary vectors of the basis cochains of `degree`.
 
     Each vector lives over (degree+1)-tuples; these are the columns of the
-    differential matrix out of C^degree, built through the sparse scatter
-    coboundary rather than the face-row enumerator.
+    differential matrix out of C^degree, read as the transpose of
+    face_slabs rather than from the face-row enumerator.
     """
-    order = group.order
-    rows = []
-    for key in product(range(1, order), repeat=degree):
-        f = Cochain(group, degree, "int", {key: 1})
-        z = coboundary(f)
-        vec = {}
-        for t, v in z.entries.items():
-            v %= modulus
-            if v:
-                vec[tuple_to_index(order, t)] = v
-        rows.append(vec)
-    return rows
+    cols: list[dict[int, int]] = [
+        {} for _ in range(cochain_dimension(group.order, degree))]
+    row = 0
+    for faces in face_slabs(group, degree):
+        for sign, index in faces:
+            for r, c in enumerate(index.tolist(), row):
+                if c >= 0:
+                    cols[c][r] = cols[c].get(r, 0) + sign
+        row += len(faces[0][1])
+    return [{r: v % modulus for r, v in col.items() if v % modulus}
+            for col in cols]
 
 
 def _kernel_generators(rows: list[dict[int, int]], dim: int, modulus: int
@@ -328,15 +315,10 @@ def invariant_factors_modular(group: FiniteGroup, degree: int) -> list[int]:
     below = _basis_coboundary_rows(group, n - 1, m)
     b_rows = [r for r in below if r]
     for ygen in _kernel_generators(below, cochain_dimension(order, n - 1), m):
-        z = coboundary(from_int_vector(group, n - 1, ygen))
-        beta = {}
-        for t, v in z.entries.items():
-            q, rem = divmod(v, m)
-            if rem:
-                raise InternalCheckError("kernel generator is not a mod-m cocycle")
-            q %= m
-            if q:
-                beta[tuple_to_index(order, t)] = q
+        beta = divided_coboundary(from_int_vector(group, n - 1, ygen), m)
+        if beta is None:
+            raise InternalCheckError("kernel generator is not a mod-m cocycle")
+        beta = {t: q % m for t, q in beta.items() if q % m}
         if beta:
             b_rows.append(beta)
 
@@ -347,7 +329,7 @@ def invariant_factors_modular(group: FiniteGroup, degree: int) -> list[int]:
                     for key in product(range(1, order), repeat=n + 1))
     base = span.span_order_exponents()
 
-    primes = _prime_powers(m)
+    primes = prime_powers(m)
     layer: dict[int, list[int]] = {}
     b_prev: dict[int, int] = {}
     full = span.copy()

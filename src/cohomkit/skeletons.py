@@ -25,12 +25,16 @@ class-level statements and are only meaningful through class coordinates.
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .qz import QZ
 from .cochains import (
     Cochain,
     CochainError,
-    coboundary_at,
+    coboundary_slabs,
+    index_to_tuple,
     is_cocycle,
+    lcm_denominator,
     pullback,
     zero_cochain,
 )
@@ -92,45 +96,60 @@ def trivial_skeleton(group: FiniteGroup) -> QuasiMonoidalSkeleton:
 def pentagon_defect(skeleton: QuasiMonoidalSkeleton) -> PentagonDefect:
     """Descend the associator's coboundary through the grading.
 
-    Sweeps every 4-tuple of non-identity cover elements in lexicographic
-    order (tuples touching the cover identity contribute zero because the
-    associator is normalized).  Each fiber of the grading must carry one
-    value, and fibers over base tuples touching the base identity must
-    carry zero.  The first violated fiber is reported with the two cover
-    tuples that disagree.
+    Reads d(psi) one slab of cover 4-tuples (g1, ...) at a time, in
+    lexicographic order (tuples touching the cover identity contribute zero
+    because the associator is normalized).  Each fiber of the grading must
+    carry the value of its first cover tuple, and fibers over base tuples
+    touching the base identity must carry zero.  The first violated fiber
+    is reported with the two cover tuples that disagree.
     """
-    cover = skeleton.cover
-    base = skeleton.base
     images = skeleton.grading.images
     psi = skeleton.associator
-    seen: dict[tuple[int, ...], tuple[QZ, tuple[int, ...]]] = {}
-    zero = QZ(0)
-    for key in product(range(1, cover.order), repeat=4):
-        value = coboundary_at(psi, key)
-        base_key = (images[key[0]], images[key[1]], images[key[2]], images[key[3]])
-        if 0 in base_key:
-            if value != zero:
-                # the same fiber contains the tuple with kernel slots
-                # collapsed to the identity, and that one evaluates to zero
-                witness = tuple(k if b else 0 for k, b in zip(key, base_key))
-                raise DescentError(
-                    "coboundary of the associator does not vanish over base "
-                    f"tuple {base_key}: cover tuples {witness} -> 0 and "
-                    f"{key} -> {value}",
-                    witness, key)
-            continue
-        prior = seen.get(base_key)
-        if prior is None:
-            seen[base_key] = (value, key)
-        elif prior[0] != value:
-            raise DescentError(
-                "coboundary of the associator is not constant over base "
-                f"tuple {base_key}: cover tuples {prior[1]} -> {prior[0]} "
-                f"and {key} -> {value}",
-                prior[1], key)
-    entries = {k: v for k, (v, _) in seen.items() if v != zero}
-    descended = Cochain(base, 4, "qz", entries)
-    return PentagonDefect(base, descended)
+    scale = lcm_denominator(psi)
+    tb = skeleton.base.order - 1
+    b2, b3, b4 = np.ix_(*[np.asarray(images[1:], dtype=np.int64)] * 3)
+    rest = np.where((b2 == 0) | (b3 == 0) | (b4 == 0), -1,
+                    ((b2 - 1) * tb + b3 - 1) * tb + b4 - 1).ravel()
+    # per base 4-tuple the value its fiber showed first (-1: none yet), and
+    # a zero pad that fibers over base tuples touching the identity read
+    nu = np.full(tb ** 4 + 1, -1, dtype=np.int64 if scale < 2 ** 63 else object)
+    nu[-1] = 0
+    for g1, values in enumerate(coboundary_slabs(psi), 1):
+        values = values % scale
+        b1 = images[g1]
+        fiber = np.where((rest >= 0) & (b1 > 0), (b1 - 1) * tb ** 3 + rest, -1)
+        unseen = np.flatnonzero(nu[fiber] < 0)
+        slots, at = np.unique(fiber[unseen], return_index=True)
+        nu[slots] = values[unseen[at]]
+        bad = np.flatnonzero(values != nu[fiber])
+        if bad.size:
+            r = int(bad[0])
+            key = (g1,) + index_to_tuple(skeleton.cover.order, 3, r)
+            raise _descent_error(images, key, QZ(int(values[r]), scale),
+                                 QZ(int(nu[fiber[r]]), scale))
+    entries = {index_to_tuple(tb + 1, 4, i): QZ(int(nu[i]), scale)
+               for i in np.flatnonzero(nu[:-1]).tolist()}
+    return PentagonDefect(skeleton.base, Cochain(skeleton.base, 4, "qz", entries))
+
+
+def _descent_error(images, key, value, expected) -> DescentError:
+    base_key = tuple(images[k] for k in key)
+    if 0 in base_key:
+        # the same fiber contains the tuple with kernel slots collapsed to
+        # the identity, and that one evaluates to zero
+        witness = tuple(k if b else 0 for k, b in zip(key, base_key))
+        return DescentError(
+            "coboundary of the associator does not vanish over base "
+            f"tuple {base_key}: cover tuples {witness} -> 0 and "
+            f"{key} -> {value}",
+            witness, key)
+    # the first cover tuple of a fiber takes the smallest preimage per slot
+    prior = tuple(images.index(b) for b in base_key)
+    return DescentError(
+        "coboundary of the associator is not constant over base "
+        f"tuple {base_key}: cover tuples {prior} -> {expected} "
+        f"and {key} -> {value}",
+        prior, key)
 
 
 def twist(skeleton: QuasiMonoidalSkeleton, twist_cochain: Cochain) -> QuasiMonoidalSkeleton:

@@ -254,3 +254,25 @@ def test_random_cochain_respects_denominator():
     assert all(all(1 <= i < 5 for i in k) for k in f.support())
     with pytest.raises(CochainError):
         random_qz_cochain(g, 2, rng, 0)
+
+
+def test_coboundary_is_exact_beyond_int64():
+    # the slab kernel sums in int64 only while (degree+2) * max(|value|, N)
+    # stays below 2^63; past that it must fall back to exact integers
+    # rather than wrap or raise
+    g = from_label("cyclic:3")
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    keys = list(product(range(1, 3), repeat=3))
+    cases = [
+        Cochain(g, 2, INT_KIND, {k: 2 ** 62 for k in product(range(1, 3), repeat=2)}),
+        Cochain(g, 2, INT_KIND, {(1, 1): 2 ** 70, (1, 2): -(2 ** 70) + 3}),
+        Cochain(g, 3, QZ_KIND, {k: QZ(1, primes[2 * i] * primes[2 * i + 1])
+                                for i, k in enumerate(keys)}),
+    ]
+    assert lcm_denominator(cases[2]) >= 2 ** 63
+    for f in cases:
+        df = coboundary(f)
+        assert df.degree == f.degree + 1 and df.kind == f.kind
+        for key in product(range(1, 3), repeat=f.degree + 1):
+            assert df.value(key) == coboundary_at(f, key), (f, key)
+        assert not df.is_zero()

@@ -272,3 +272,39 @@ def test_zero_cocycle_needs_no_elimination(monkeypatch):
     assert primitive.is_zero()
     assert (primitive.group, primitive.degree, primitive.kind) == (
         zero.group, 3, "qz")
+
+
+def test_differential_rows_match_the_face_rows():
+    # the cross-check's own row builder is the oracle for the primary
+    # route's matrix rows, row by row and in ascending row order
+    from itertools import product
+
+    from cohomkit.cohomology import differential_rows
+    from cohomkit.modular import _face_row
+
+    modulus = 97
+    for label in catalog_labels(8):
+        g = from_label(label)
+        for degree in range(4):
+            got = list(differential_rows(g, degree))
+            indices = [i for i, _ in got]
+            assert indices == sorted(set(indices)), (label, degree)
+            expected = {}
+            for i, key in enumerate(product(range(1, g.order), repeat=degree + 1)):
+                row = _face_row(g, key, modulus)
+                if row:
+                    expected[i] = row
+            assert all(row and all(row.values()) for _, row in got)
+            assert {i: {c: v % modulus for c, v in row.items()}
+                    for i, row in got} == expected, (label, degree)
+
+
+def test_class_coordinates_reject_another_groups_cohomology():
+    c4 = from_label("cyclic:4")
+    f = carry_cocycle(4)
+    for other in (compute_cohomology(from_label("cyclic:2"), 3),
+                  compute_cohomology(from_label("cyclic:8"), 3),
+                  compute_cohomology(c4, 2)):
+        with pytest.raises(CochainError):
+            class_coordinates(f, other)
+    assert class_coordinates(f, compute_cohomology(c4, 3)) == class_coordinates(f)

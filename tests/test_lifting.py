@@ -238,3 +238,24 @@ def test_cover_decision_matches_the_bounded_oracle():
     # both answers occur, so the agreement is not vacuous
     assert len(outcomes) == 54
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+def test_solve_primitive_witnesses_bound_pointwise():
+    # each witness is checked at every cover 4-tuple with the pointwise
+    # coboundary, which shares no code with the slab kernel behind the
+    # solver's matrix and its own primitive check
+    from cohomkit.cochains import coboundary_at
+
+    base = from_label(V4)
+    h4 = v4_h4()
+    for coords in ((1, 0), (0, 1), (1, 1)):
+        target = zero_cochain(base, 4)
+        for c, g in zip(coords, h4.generators):
+            if c:
+                target = target + g.scale(c)
+        hom, _ = find_cover(base, target)
+        lifted = pullback(hom, target)
+        psi = solve_primitive(hom, target)
+        assert not lifted.is_zero()
+        for key in product(range(1, hom.source.order), repeat=4):
+            assert coboundary_at(psi, key) == lifted.value(key), (coords, key)

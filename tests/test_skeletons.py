@@ -13,7 +13,7 @@ from cohomkit.cochains import (
     zero_cochain,
 )
 from cohomkit.cohomology import class_coordinates, compute_cohomology
-from cohomkit.groups import GroupHom, from_label
+from cohomkit.groups import GroupHom, enumerate_surjections, from_label
 from cohomkit.qz import QZ
 from cohomkit.skeletons import (
     DescentError,
@@ -231,3 +231,54 @@ def test_product_with_opposite_bounds():
     sk, _ = random_skeleton(rng, cover_label=V4, base_label=V4)
     both = fiber_product(sk, opposite(sk))
     assert is_coboundary(pentagon_defect(both).cocycle)
+
+
+def _pointwise_descent_error(sk):
+    """The first descent failure of a per-tuple scan in lexicographic order,
+    evaluated with coboundary_at: (message, first_key, second_key)."""
+    images = sk.grading.images
+    seen = {}
+    for key in product(range(1, sk.cover.order), repeat=4):
+        value = coboundary_at(sk.associator, key)
+        base_key = tuple(images[k] for k in key)
+        if 0 in base_key:
+            if value:
+                witness = tuple(k if b else 0 for k, b in zip(key, base_key))
+                return ("coboundary of the associator does not vanish over "
+                        f"base tuple {base_key}: cover tuples {witness} -> 0 "
+                        f"and {key} -> {value}", witness, key)
+            continue
+        prior = seen.setdefault(base_key, (value, key))
+        if prior[0] != value:
+            return ("coboundary of the associator is not constant over base "
+                    f"tuple {base_key}: cover tuples {prior[1]} -> {prior[0]} "
+                    f"and {key} -> {value}", prior[1], key)
+    return None
+
+
+def test_descent_error_matches_a_pointwise_scan():
+    rng = random.Random(17)
+    kinds = set()
+    for cover_label, base_label in (("cyclic:4", "cyclic:2"),
+                                    ("dihedral:4", V4),
+                                    ("quaternion:8", "cyclic:2")):
+        cover, base = from_label(cover_label), from_label(base_label)
+        homs = enumerate_surjections(cover, base)
+        for trial in range(7):
+            hom = homs[rng.randrange(len(homs))]
+            if trial % 2:
+                # a descending associator broken at one tuple
+                key = tuple(rng.randrange(1, cover.order) for _ in range(3))
+                psi = (pullback(hom, random_qz_cochain(base, 3, rng, 4))
+                       + Cochain(cover, 3, "qz", {key: QZ(1, 3)}))
+            else:
+                psi = random_qz_cochain(cover, 3, rng, 6, density=rng.random())
+            sk = QuasiMonoidalSkeleton(cover, base, hom, psi)
+            expected = _pointwise_descent_error(sk)
+            assert expected is not None, (cover_label, trial)
+            with pytest.raises(DescentError) as err:
+                pentagon_defect(sk)
+            got = (str(err.value), err.value.first_key, err.value.second_key)
+            assert got == expected, (cover_label, trial)
+            kinds.add("vanish" in got[0])
+    assert kinds == {True, False}

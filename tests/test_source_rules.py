@@ -22,3 +22,28 @@ def test_package_has_no_assert_statements_or_assertion_errors():
                         and node.attr == "AssertionError")):
                 offences.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert not offences, "assert or AssertionError in: " + ", ".join(offences)
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps package names by string; a rename would
+    # break its traced runs without failing any package test
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod, attr, *_ in tracing._FUNCTIONS + tracing._HOT_FUNCTIONS:
+        if not callable(getattr(importlib.import_module("cohomkit." + mod),
+                                attr, None)):
+            missing.append(f"{mod}.{attr}")
+    for mod, cls_name, attr, *_ in tracing._METHODS:
+        cls = getattr(importlib.import_module("cohomkit." + mod), cls_name, None)
+        if cls is None or attr not in vars(cls):
+            missing.append(f"{mod}.{cls_name}.{attr}")
+    assert not missing, "traced names missing: " + ", ".join(missing)
+    cohomology = importlib.import_module("cohomkit.cohomology")
+    assert inspect.isgeneratorfunction(cohomology.differential_rows)
