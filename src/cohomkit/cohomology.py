@@ -9,9 +9,9 @@ cochains, because the image of that matrix sits inside the (saturated)
 integral cocycle lattice and every class is killed by |G|.
 
 One journaled elimination engine (sweep module) does the linear algebra.
-It clears the unit pivots in a few batched sweeps, hands the small
-unit-free residue to the exact Smith reducer (linalg module), and records
-both as replayable journals, which power
+It clears the unit pivots in a few batched sweeps, hands the unit-free
+residue to the Smith reducer mod |G|^2 (linalg module), and records both
+as replayable journals, which power
 
   * cokernel vectors   -> explicit generating cocycles,
   * forward replay     -> coordinates of an arbitrary cocycle,

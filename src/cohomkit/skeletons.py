@@ -23,7 +23,6 @@ class-level statements and are only meaningful through class coordinates.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -214,13 +213,8 @@ def fiber_product(left: QuasiMonoidalSkeleton,
     cover = FiniteGroup(
         f"fib({left.cover.name},{right.cover.name})", tuple(table))
     grading = GroupHom(cover, left.base, tuple(p[a] for (a, b) in pairs))
-    psi_l, psi_r = left.associator, right.associator
-    entries = {}
-    for key in product(range(1, cover.order), repeat=3):
-        la = tuple(pairs[i][0] for i in key)
-        rb = tuple(pairs[i][1] for i in key)
-        v = psi_l.value(la) + psi_r.value(rb)
-        if v != QZ(0):
-            entries[key] = v
-    associator = Cochain(cover, 3, "qz", entries)
+    to_left = GroupHom(cover, left.cover, tuple(a for (a, b) in pairs))
+    to_right = GroupHom(cover, right.cover, tuple(b for (a, b) in pairs))
+    associator = (pullback(to_left, left.associator)
+                  + pullback(to_right, right.associator))
     return QuasiMonoidalSkeleton(cover, left.base, grading, associator)

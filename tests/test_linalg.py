@@ -20,12 +20,6 @@ def random_matrix(rng, nrows, ncols, lo=-9, hi=9, density=0.7):
              for _ in range(ncols)] for _ in range(nrows)]
 
 
-def snf_nonzero_diagonal(mat):
-    m = smith_normal_form(Matrix(mat))
-    diag = [abs(m[i, i]) for i in range(min(m.shape))]
-    return sorted(d for d in diag if d)
-
-
 def modular_cokernel_factors(mat, modulus):
     """Invariant factors (> 1) of coker(A) as a Z/M-module, via an integer
     Smith form of A stacked over M*I.  Free Z/M summands show up as M."""
@@ -56,16 +50,6 @@ def reconstruct_diagonal(elim, mat):
                  for j in range(len(b[0]))] for i in range(len(a))]
 
     return matmul(matmul(u, mat), v)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_exact_factors_match_sympy_snf(seed):
-    rng = random.Random(seed)
-    nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
-    mat = random_matrix(rng, nrows, ncols)
-    elim = eliminate(dense_to_rows(mat), nrows, ncols, modulus=0)
-    got = sorted(f for f in elim.invariant_factors())
-    assert got == snf_nonzero_diagonal(mat)
 
 
 @pytest.mark.parametrize("seed,modulus", [(s, m) for s in range(5)
@@ -138,28 +122,6 @@ def test_solvable_matches_dense_enumeration():
     assert hits and misses  # the sample exercised both branches
 
 
-def test_solve_exact_mode():
-    rng = random.Random(5)
-    for _ in range(10):
-        nrows, ncols = rng.randint(2, 5), rng.randint(2, 5)
-        mat = random_matrix(rng, nrows, ncols)
-        x = [rng.randint(-4, 4) for _ in range(ncols)]
-        b = {}
-        for i in range(nrows):
-            s = sum(mat[i][j] * x[j] for j in range(ncols))
-            if s:
-                b[i] = s
-        elim = eliminate(dense_to_rows(mat), nrows, ncols, modulus=0)
-        sol = elim.solve(b)
-        assert sol is not None
-        for i in range(nrows):
-            assert sum(mat[i][j] * sol.get(j, 0) for j in range(ncols)) == b.get(i, 0)
-    # 2x = 1 has no integer solution
-    elim = eliminate([(0, {0: 2})], 1, 1, modulus=0)
-    assert elim.solve({0: 1}) is None
-    assert not elim.solvable({0: 1})
-
-
 def test_coker_vector_inverts_row_transform():
     rng = random.Random(21)
     mat = random_matrix(rng, 5, 4, lo=0, hi=11)
@@ -170,8 +132,9 @@ def test_coker_vector_inverts_row_transform():
 
 
 def test_bad_modulus_rejected():
-    with pytest.raises(ValueError):
-        SparseElimination(2, 2, modulus=-1)
+    for modulus in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            SparseElimination(2, 2, modulus=modulus)
 
 
 @pytest.mark.parametrize("seed,modulus", [(s, m) for s in range(4)

@@ -47,3 +47,29 @@ def test_benchmark_tracer_names_resolve():
     assert not missing, "traced names missing: " + ", ".join(missing)
     cohomology = importlib.import_module("cohomkit.cohomology")
     assert inspect.isgeneratorfunction(cohomology.differential_rows)
+
+
+def test_modular_cross_check_stays_independent():
+    # criterion 5 certifies the primary route only while the cross-check
+    # runs a different algorithm: modular may borrow linalg's error type,
+    # and nothing else from the primary route's elimination
+    path = PACKAGE / "modular.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import sweep" names the module in the alias
+            modules = [(alias.name, None) for alias in node.names]
+        else:
+            continue
+        for module, name in modules:
+            last = module.rsplit(".", 1)[-1]
+            if last in ("sweep", "cohomology") or (
+                    last == "linalg" and name != "InternalCheckError"):
+                offences.append(f"modular.py:{node.lineno} imports "
+                                f"{module}" + (f".{name}" if name else ""))
+    assert not offences, "; ".join(offences)
