@@ -2,10 +2,9 @@
 
 The reducer brings a sparse matrix to (positionally) diagonal form
 S = U * D * V over Z/M, for a fixed modulus M > 1, by row and column
-operations.  Transforms are never stored as matrices: every operation is
-appended to a journal, and U / U^-1 / V are applied to vectors later by
-replaying the journal.  That keeps memory proportional to the work done
-and still supports
+operations.  Transforms are never stored as matrices: the operations are
+appended to a journal of blocks, and U / U^-1 / V are applied to vectors
+later by replaying it, one numpy operation per block.  That supports
 
   * the diagonal (hence cokernel invariant factors),
   * solves D x = b mod M,
@@ -15,11 +14,24 @@ and still supports
 It runs classical Smith reduction: minimum-magnitude pivoting, remainder
 ping-pong, and a divisibility sweep, with magnitudes measured on balanced
 representatives so the descent argument still terminates.  Each pivot
-costs a scan of the whole matrix, so this is the residue reducer: the
+costs scans of the whole matrix, so this is the residue reducer: the
 batched engine in the sweep module clears every unit pivot first and
 hands over the unit-free remainder.  That remainder has few columns and
 pivots but is tall (at degree 4: 78,880 rows by 16 columns for
-dihedral:6, 7,945 by 83 for elem:2^3).
+dihedral:6, 7,945 by 83 for elem:2^3), so it is reduced as a dense array
+over its nonzero rows and columns, both in ascending id order, with every
+choice made as on the sparse rows: the pivot is the smallest
+(|balanced value|, row, column), and each phase works in ascending order
+and stops at the first entry that keeps a remainder.
+
+The journal holds blocks of operations that share a source:
+
+  row block (i, ks, cs)     rows[ks] += cs * rows[i]   (i not in ks)
+  column block (j, ts, cs)  col_ts += cs * col_j       (j not in ts)
+
+The operations inside a block have distinct targets and read a line that
+none of them writes, so they commute, and a block replays as a single
+vector operation.
 
 The diagonal entry d contributes the cyclic factor Z/gcd(d, M); a caller
 that knows the interesting torsion divides some m < M (take M = m*m)
@@ -32,6 +44,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Optional
 
+import numpy as np
+
 
 class InternalCheckError(RuntimeError):
     """An exactness check failed: the computation is wrong, not the input.
@@ -40,12 +54,20 @@ class InternalCheckError(RuntimeError):
     """
 
 
-def _round_div(a: int, b: int) -> int:
-    """Nearest-integer division, remainder magnitude <= |b|/2."""
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
+def dense_vector(vec: dict[int, int], size: int, modulus: int) -> np.ndarray:
+    """A sparse vector {index: value} as a dense int64 array mod `modulus`."""
+    out = np.zeros(size, dtype=np.int64)
+    if vec:
+        out[np.fromiter(vec, dtype=np.intp, count=len(vec))] = [
+            v % modulus for v in vec.values()]
+    return out
+
+
+def sparse_vector(vec: np.ndarray, mask: np.ndarray | None = None
+                  ) -> dict[int, int]:
+    """The nonzero entries of `vec` (where `mask` holds) as a dict."""
+    nz = np.flatnonzero(vec if mask is None else vec * mask)
+    return dict(zip(nz.tolist(), vec[nz].tolist()))
 
 
 class SparseElimination:
@@ -55,155 +77,102 @@ class SparseElimination:
         self.nrows = nrows
         self.ncols = ncols
         self.modulus = modulus
-        self.rows: dict[int, dict[int, int]] = {}
-        self.col_rows: dict[int, set[int]] = {}
-        self.initial_nnz = 0
+        self._coo_r: list[int] = []
+        self._coo_c: list[int] = []
+        self._coo_v: list[int] = []
         # pivots as (row, col, value); the values carry the divisibility chain
         self.pivots: list[tuple[int, int, int]] = []
-        self._row_i: list[int] = []
-        self._row_j: list[int] = []
-        self._row_c: list[int] = []
-        self._col_i: list[int] = []
-        self._col_j: list[int] = []
-        self._col_c: list[int] = []
+        self._row_blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._col_blocks: list[tuple[int, np.ndarray, np.ndarray]] = []
         self._done = False
 
     # -- construction --
 
     def add_row(self, i: int, entries: dict[int, int]) -> None:
         m = self.modulus
-        entries = {j: v % m for j, v in entries.items() if v % m}
-        if not entries:
-            return
-        self.rows[i] = entries
-        for j in entries:
-            self.col_rows.setdefault(j, set()).add(i)
-        self.initial_nnz += len(entries)
-
-    # -- helpers --
-
-    def _bal(self, v: int) -> int:
-        """Balanced representative, the magnitude that drives the pivoting."""
-        m = self.modulus
-        return v - m if 2 * v > m else v
-
-    # -- journaled operations --
-
-    def _row_add(self, k: int, i: int, c: int) -> None:
-        """rows[k] += c * rows[i]"""
-        self._row_i.append(k)
-        self._row_j.append(i)
-        self._row_c.append(c)
-        m = self.modulus
-        target = self.rows.setdefault(k, {})
-        col_rows = self.col_rows
-        for j, v in self.rows[i].items():
-            s = (target.get(j, 0) + c * v) % m
-            if s:
-                if j not in target:
-                    col_rows.setdefault(j, set()).add(k)
-                target[j] = s
-            elif j in target:
-                del target[j]
-                col_rows[j].discard(k)
-        if not target:
-            del self.rows[k]
-
-    def _col_add(self, t: int, j: int, c: int) -> None:
-        """col_t += c * col_j"""
-        self._col_i.append(t)
-        self._col_j.append(j)
-        self._col_c.append(c)
-        m = self.modulus
-        col_rows = self.col_rows
-        for k in sorted(col_rows.get(j, ())):
-            row = self.rows[k]
-            s = (row.get(t, 0) + c * row[j]) % m
-            if s:
-                if t not in row:
-                    col_rows.setdefault(t, set()).add(k)
-                row[t] = s
-            elif t in row:
-                del row[t]
-                col_rows[t].discard(k)
+        for j, v in entries.items():
+            if v % m:
+                self._coo_r.append(i)
+                self._coo_c.append(j)
+                self._coo_v.append(v % m)
 
     # -- Smith reduction --
 
-    def _min_entry(self) -> Optional[tuple[int, int]]:
-        best = None
-        best_key = None
-        for i in sorted(self.rows):
-            for j, v in sorted(self.rows[i].items()):
-                key = (abs(self._bal(v)), i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        return best
-
-    def _reduce(self) -> None:
-        rows, col_rows = self.rows, self.col_rows
-        bal = self._bal
+    def _bal(self, v: np.ndarray) -> np.ndarray:
+        """Balanced representatives, the magnitudes that drive the pivoting."""
         m = self.modulus
-        while True:
-            pos = self._min_entry()
-            if pos is None:
-                break
-            pi, pj = pos
+        return np.where(2 * v > m, v - m, v)
+
+    def _clearing(self, idx: np.ndarray, v: np.ndarray, pval: int):
+        """Operations that clear the entries v at ascending positions idx
+        against the pivot value pval, up to and including the first entry
+        that keeps a remainder: (positions, multipliers, that entry's
+        position or None)."""
+        bal = self._bal(v)
+        q = bal // pval
+        q += 2 * np.abs(bal - q * pval) > abs(pval)
+        left = np.flatnonzero(bal != q * pval)
+        stop = None
+        if left.size:
+            idx, q = idx[:left[0] + 1], q[:left[0] + 1]
+            stop = int(idx[-1])
+        ops = q != 0
+        return idx[ops], (-q[ops]) % self.modulus, stop
+
+    def _reduce(self, a: np.ndarray, row_ids: np.ndarray,
+                col_ids: np.ndarray) -> None:
+        m = self.modulus
+        while a.any():
+            mag = np.abs(self._bal(a))
+            mag[a == 0] = m
+            pi, pj = divmod(int(mag.argmin()), a.shape[1])
             while True:
-                pval = bal(rows[pi][pj])
-                switched = False
-                for k in sorted(col_rows[pj]):
-                    if k == pi:
-                        continue
-                    v = rows[k].get(pj)
-                    if not v:
-                        continue
-                    q = _round_div(bal(v), pval)
-                    if q:
-                        self._row_add(k, pi, (-q) % m)
-                    if rows.get(k, {}).get(pj):
-                        pi = k          # remainder has strictly smaller magnitude
-                        switched = True
-                        break
-                if switched:
+                pval = int(self._bal(a[pi, pj]))
+                # column phase: row operations against the pivot row
+                ks = np.flatnonzero(a[:, pj])
+                ks = ks[ks != pi]
+                ks, cs, stop = self._clearing(ks, a[ks, pj], pval)
+                if ks.size:
+                    a[ks] = (a[ks] + cs[:, None] * a[pi]) % m
+                    self._row_blocks.append((int(row_ids[pi]), row_ids[ks], cs))
+                if stop is not None:
+                    pi = stop       # remainder has strictly smaller magnitude
                     continue
-                for t in sorted(rows[pi]):
-                    if t == pj:
-                        continue
-                    v = rows[pi][t]
-                    q = _round_div(bal(v), pval)
-                    if q:
-                        self._col_add(t, pj, (-q) % m)
-                    if rows[pi].get(t):
-                        pj = t          # ping-pong back to the column phase
-                        switched = True
-                        break
-                if switched:
+                # row phase: column operations against the pivot column,
+                # which is clear outside the pivot row by now
+                ts = np.flatnonzero(a[pi])
+                ts = ts[ts != pj]
+                ts, cs, stop = self._clearing(ts, a[pi, ts], pval)
+                if ts.size:
+                    a[pi, ts] = (a[pi, ts] + cs * a[pi, pj]) % m
+                    self._col_blocks.append((int(col_ids[pj]), col_ids[ts], cs))
+                if stop is not None:
+                    pj = stop       # ping-pong back to the column phase
                     continue
                 # cross is clear; enforce the divisibility chain
-                offender = None
-                for a in sorted(rows):
-                    if a == pi:
-                        continue
-                    for b, v in sorted(rows[a].items()):
-                        if bal(v) % pval:
-                            offender = a
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
+                bad = self._bal(a) % pval != 0
+                bad[pi] = False
+                offenders = np.flatnonzero(bad.any(axis=1))
+                if not offenders.size:
                     break
-                self._row_add(pi, offender, 1)
-            pval = rows[pi][pj]
-            del rows[pi]
-            col_rows[pj].discard(pi)
-            if not col_rows[pj]:
-                del col_rows[pj]
-            self.pivots.append((pi, pj, pval))
+                off = offenders[0]
+                a[pi] = (a[pi] + a[off]) % m
+                self._row_blocks.append((int(row_ids[off]), row_ids[pi:pi + 1],
+                                         np.ones(1, dtype=np.int64)))
+            self.pivots.append((int(row_ids[pi]), int(col_ids[pj]),
+                                int(a[pi, pj])))
+            a[pi, pj] = 0
 
     def run(self) -> "SparseElimination":
         if not self._done:
-            self._reduce()
+            row_ids, r = np.unique(np.array(self._coo_r, dtype=np.intp),
+                                   return_inverse=True)
+            col_ids, c = np.unique(np.array(self._coo_c, dtype=np.intp),
+                                   return_inverse=True)
+            a = np.zeros((row_ids.size, col_ids.size), dtype=np.int64)
+            a[r, c] = self._coo_v
+            del self._coo_r, self._coo_c, self._coo_v
+            self._reduce(a, row_ids, col_ids)
             self._done = True
         return self
 
@@ -228,71 +197,75 @@ class SparseElimination:
     def nontrivial_factors(self) -> list[int]:
         return [self.pivot_factor(v) for _, _, v in self.nontrivial_pivots()]
 
-    # -- journal replays --
+    # -- journal replays on dense vectors mod M --
 
-    def _replay(self, vec: dict[int, int], ops, sign: int = 1) -> dict[int, int]:
-        """vec[k] += sign * c * vec[i] for each journal op (k, i, c) in turn."""
+    def _forward(self, y: np.ndarray) -> np.ndarray:
+        """y <- U y: the row blocks in order."""
         m = self.modulus
-        y = {k: v % m for k, v in vec.items()}
-        for k, i, c in ops:
-            v = y.get(i)
-            if v:
-                s = (y.get(k, 0) + sign * c * v) % m
-                if s:
-                    y[k] = s
-                else:
-                    y.pop(k, None)
+        for i, ks, cs in self._row_blocks:
+            if y[i]:
+                y[ks] = (y[ks] + cs * y[i]) % m
         return y
+
+    def _columns(self, x: np.ndarray) -> np.ndarray:
+        """x <- V x: the column blocks in reverse, block (j, ts, cs) acting
+        as x[j] += cs . x[ts]."""
+        m = self.modulus
+        for j, ts, cs in reversed(self._col_blocks):
+            x[j] = (x[j] + cs @ x[ts]) % m
+        return x
 
     def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
         """y = U b: forward replay of the row journal."""
-        return self._replay(vec, zip(self._row_i, self._row_j, self._row_c))
+        return sparse_vector(self._forward(
+            dense_vector(vec, self.nrows, self.modulus)))
 
     def coker_vector(self, r: int) -> dict[int, int]:
         """U^-1 e_r: reversed, inverted row journal applied to a unit vector."""
-        ops = list(zip(self._row_i, self._row_j, self._row_c))
-        return self._replay({r: 1}, reversed(ops), -1)
+        m = self.modulus
+        y = dense_vector({r: 1}, self.nrows, m)
+        for i, ks, cs in reversed(self._row_blocks):
+            if y[i]:
+                y[ks] = (y[ks] - cs * y[i]) % m
+        return sparse_vector(y)
 
     def apply_col_transform(self, y: dict[int, int]) -> dict[int, int]:
-        """x = V y: reversed col journal; op (t, j, c) acts as y[j] += c*y[t]."""
-        ops = list(zip(self._col_j, self._col_i, self._col_c))
-        return self._replay(y, reversed(ops))
+        """x = V y: reversed column journal."""
+        return sparse_vector(self._columns(
+            dense_vector(y, self.ncols, self.modulus)))
 
     def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
         """Particular solution of D x = b mod M, else None."""
         m = self.modulus
-        y = self.apply_row_transform(b)
-        x: dict[int, int] = {}
+        y = self._forward(dense_vector(b, self.nrows, m))
+        x = np.zeros(self.ncols, dtype=np.int64)
         for r, cidx, s in self.pivots:
-            v = y.pop(r, 0)
+            v = int(y[r])
             if not v:
                 continue
+            y[r] = 0
             g = gcd(s, m)
             if v % g:
                 return None
             m2 = m // g
-            sol = ((v // g) * pow(s // g, -1, m2)) % m2 if m2 > 1 else 0
-            if sol:
-                x[cidx] = sol
-        if any(v for v in y.values()):
+            x[cidx] = ((v // g) * pow(s // g, -1, m2)) % m2 if m2 > 1 else 0
+        if y.any():
             return None
-        return self.apply_col_transform(x)
+        return sparse_vector(self._columns(x))
 
     def solvable(self, b: dict[int, int]) -> bool:
         """Solvability test only: skips the column replay."""
         m = self.modulus
-        y = self.apply_row_transform(b)
-        pivot_value = {r: s for r, _, s in self.pivots}
-        for r, v in y.items():
-            if not v:
-                continue
-            s = pivot_value.get(r)
-            if s is None or v % gcd(s, m):
+        y = self._forward(dense_vector(b, self.nrows, m))
+        for r, _, s in self.pivots:
+            if y[r] % gcd(s, m):
                 return False
-        return True
+            y[r] = 0
+        return not y.any()
 
     def journal_size(self) -> int:
-        return len(self._row_i) + len(self._col_i)
+        """Single row and column operations in the journal."""
+        return sum(ks.size for _, ks, _ in self._row_blocks + self._col_blocks)
 
 
 def eliminate(rows: Iterable[tuple[int, dict[int, int]]], nrows: int,

@@ -8,24 +8,25 @@ Z/M by batching independent unit pivots:
   rows and columns are distinct and no pivot row meets another pivot's
   column; then all |P| eliminations commute and amount to the single update
 
-      A  <-  A + C @ A[rows_P, :]        (then drop rows_P and cols_P)
+      A  <-  A + C @ A[rows_P, :]        (then zero rows_P)
 
   where column p of C holds -A[:, c_p] / u_p with the pivot rows zeroed.
-  Dropping the pivot rows stands for the column operations that clear
-  them; those touch nothing else, because each pivot column is a singleton
-  once the update has run.
+  After the update each pivot column is nonzero only in its pivot row, so
+  zeroing the pivot rows clears the pivot columns too; that stands for the
+  column operations that clear the pivot rows, which touch nothing else.
 
-The update is one sparse matrix product, so the fill work runs inside
-scipy instead of a python loop.  Unit pivots only contribute 1s to the
-Smith chain; whatever residue has no units left is handed to the
-dict-based reducer in linalg, which returns the nontrivial chain and keeps
-its own journal.  The residue has few columns and pivots but can be tall:
+The matrix keeps its shape and the original row and column ids for the
+whole run, so the journal needs no translation.  The update is one sparse
+matrix product, so the fill work runs inside scipy instead of a python
+loop.  Unit pivots only contribute 1s to the Smith chain; whatever residue
+has no units left is handed, in the same ids, to the residue reducer in
+linalg, which returns the nontrivial chain and keeps its own journal of
+blocks.  The residue has few columns and pivots but can be tall:
 dihedral:6 at degree 4 hands over 78,880 rows by 16 columns (952,116
 entries) for 2 pivots.
 
-Each sweep k also records its pivots (original row and column ids,
-units), C_k in original row ids and the pivot rows P_k = A[rows_P, :] in
-original column ids, without their pivot entries.
+Each sweep k records its pivots (row and column ids, units), C_k and the
+pivot rows P_k = A[rows_P, :] without their pivot entries.
 C_k vanishes on rows_P, so the sweep's row operation I + C_k E_P has the
 inverse I - C_k E_P, and its column operations are a back-substitution
 through P_k.  Every replay is then one sparse mat-vec per sweep on a dense
@@ -48,9 +49,9 @@ from math import gcd
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
-from .linalg import InternalCheckError, SparseElimination
+from .linalg import (InternalCheckError, SparseElimination, dense_vector,
+                     sparse_vector)
 
 # keep candidate scans per sweep bounded; selection quality degrades
 # gracefully because rejected units come back next sweep
@@ -110,6 +111,10 @@ class SweepElimination:
     def run(self) -> "SweepElimination":
         if self._done:
             return self
+        # imported here: only a sweep needs scipy, and `import cohomkit`
+        # should not pay for it
+        from scipy import sparse
+
         m = self.modulus
         units = np.zeros(m, dtype=bool)
         inv_table = np.zeros(m, dtype=np.int32)
@@ -127,8 +132,6 @@ class SweepElimination:
         a.sum_duplicates()
         a.data %= m
         a.eliminate_zeros()
-        row_ids = np.arange(self.nrows, dtype=np.int32)
-        col_ids = np.arange(self.ncols, dtype=np.int32)
 
         while a.nnz:
             unit_mask = units[a.data]
@@ -166,8 +169,8 @@ class SweepElimination:
                 sel.append(t)
             k = len(sel)
             self.unit_pivot_count += k
-            rows_p = cand_rows[sel]
-            cols_p = cand_cols[sel]
+            rows_p = cand_rows[sel].astype(np.intp)
+            cols_p = cand_cols[sel].astype(np.intp)
             pivot_units = a.data[cand_idx[sel]]
 
             p = a[rows_p, :]
@@ -187,58 +190,36 @@ class SweepElimination:
                 (coeff, c_cols, np.concatenate(([0], np.cumsum(np.bincount(
                     entry_rows[in_c], minlength=nr))))),
                 shape=(nr, k))
-            self._record(row_ids, col_ids, rows_p, cols_p, pivot_units,
-                         inv_table, c_mat, p)
+            pc = p.tocoo()
+            off = pc.col != cols_p[pc.row]
+            self._blocks.append((
+                rows_p, cols_p, pivot_units.astype(np.int64),
+                inv_table[pivot_units].astype(np.int64), c_mat,
+                sparse.csr_matrix((pc.data[off].astype(np.int64),
+                                   (pc.row[off], pc.col[off])), shape=(k, nc))))
+            self._unit_rows[rows_p] = True
             a = a + c_mat @ p
             a.data %= m
+            # the pivot columns are clear outside the pivot rows now, so
+            # dropping the pivot rows drops both, and the ids stay put
+            a.data[np.repeat(row_taken, np.diff(a.indptr))] = 0
             a.eliminate_zeros()
-
-            keep_r = ~row_taken
-            keep_c = ~col_taken
-            a = a[keep_r][:, keep_c].astype(np.int32)
+            a.data = a.data.astype(np.int32)
             # the update leaves each row's entries unsorted and
             # candidate_order breaks ties by entry position: keep rows
-            # sorted so the pivot choice is reproducible (scipy's int64 ->
-            # int32 cast sorts them already, so this is only a check)
+            # sorted so the pivot choice is reproducible
             a.sort_indices()
-            row_ids = row_ids[keep_r]
-            col_ids = col_ids[keep_c]
 
-        # hand the unit-free residue to the dict-based reducer
+        # hand the unit-free residue to the residue reducer
         core = SparseElimination(self.nrows, self.ncols, self.modulus)
-        if a.nnz:
-            for i in range(a.shape[0]):
-                lo, hi = a.indptr[i], a.indptr[i + 1]
-                if lo == hi:
-                    continue
-                core.add_row(int(row_ids[i]), {
-                    int(col_ids[j]): int(a.data[t])
-                    for t, j in zip(range(lo, hi), a.indices[lo:hi])})
+        for i in np.flatnonzero(np.diff(a.indptr)).tolist():
+            lo, hi = a.indptr[i], a.indptr[i + 1]
+            core.add_row(i, dict(zip(a.indices[lo:hi].tolist(),
+                                     a.data[lo:hi].tolist())))
         core.run()
         self._core = core
         self._done = True
         return self
-
-    def _record(self, row_ids, col_ids, rows_p, cols_p, pivot_units,
-                inv_table, c_mat, p) -> None:
-        """Journal one sweep in original row and column ids."""
-        k = len(rows_p)
-        rows = row_ids[rows_p].astype(np.intp)
-        c = c_mat.tocoo()
-        c_orig = sparse.csr_matrix(
-            (c.data.astype(np.int64), (row_ids[c.row], c.col)),
-            shape=(self.nrows, k))
-        pc = p.tocoo()
-        off = pc.col != cols_p[pc.row]
-        p_orig = sparse.csr_matrix(
-            (pc.data[off].astype(np.int64),
-             (pc.row[off], col_ids[pc.col[off]])),
-            shape=(k, self.ncols))
-        self._blocks.append((rows, col_ids[cols_p].astype(np.intp),
-                             pivot_units.astype(np.int64),
-                             inv_table[pivot_units].astype(np.int64),
-                             c_orig, p_orig))
-        self._unit_rows[rows] = True
 
     # -- results --
 
@@ -275,26 +256,7 @@ class SweepElimination:
             self._pivots = out
         return self._pivots
 
-    def journal_size(self) -> int:
-        """Stored block entries plus the residue's journal length."""
-        return (sum(c.nnz + p.nnz for *_, c, p in self._blocks)
-                + self._residue().journal_size())
-
     # -- journal replays on dense vectors mod M --
-
-    def _dense(self, vec: dict[int, int], size: int) -> np.ndarray:
-        m = self.modulus
-        out = np.zeros(size, dtype=np.int64)
-        if vec:
-            out[np.fromiter(vec, dtype=np.intp, count=len(vec))] = [
-                v % m for v in vec.values()]
-        return out
-
-    @staticmethod
-    def _sparse(vec: np.ndarray, mask: np.ndarray | None = None
-                ) -> dict[int, int]:
-        nz = np.flatnonzero(vec if mask is None else vec * mask)
-        return dict(zip(nz.tolist(), vec[nz].tolist()))
 
     def _forward(self, b: np.ndarray) -> np.ndarray:
         m = self.modulus
@@ -315,36 +277,39 @@ class SweepElimination:
     def apply_row_transform(self, vec: dict[int, int]) -> dict[int, int]:
         """y = U b."""
         core = self._residue()
-        b = self._forward(self._dense(vec, self.nrows))
-        out = self._sparse(b, self._unit_rows)
-        out.update(core.apply_row_transform(self._sparse(b, ~self._unit_rows)))
+        b = self._forward(dense_vector(vec, self.nrows, self.modulus))
+        out = sparse_vector(b, self._unit_rows)
+        out.update(core.apply_row_transform(
+            sparse_vector(b, ~self._unit_rows)))
         return out
 
     def coker_vector(self, r: int) -> dict[int, int]:
         """U^-1 e_r."""
         m = self.modulus
-        b = self._dense(self._residue().coker_vector(r), self.nrows)
+        b = dense_vector(self._residue().coker_vector(r), self.nrows, m)
         for rows, _, _, _, c, _ in reversed(self._blocks):
             b = (b - c @ b[rows]) % m
-        return self._sparse(b)
+        return sparse_vector(b)
 
     def apply_col_transform(self, y: dict[int, int]) -> dict[int, int]:
         """x = V y."""
-        x = self._dense(self._residue().apply_col_transform(y), self.ncols)
-        return self._sparse(self._back_substitute(x))
+        x = dense_vector(self._residue().apply_col_transform(y),
+                         self.ncols, self.modulus)
+        return sparse_vector(self._back_substitute(x))
 
     def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
         """Particular solution of A x = b mod M, else None."""
         core = self._residue()
-        y = self._forward(self._dense(b, self.nrows))
-        x = core.solve(self._sparse(y, ~self._unit_rows))
+        y = self._forward(dense_vector(b, self.nrows, self.modulus))
+        x = core.solve(sparse_vector(y, ~self._unit_rows))
         if x is None:
             return None
-        return self._sparse(self._back_substitute(self._dense(x, self.ncols), y))
+        x = dense_vector(x, self.ncols, self.modulus)
+        return sparse_vector(self._back_substitute(x, y))
 
     def solvable(self, b: dict[int, int]) -> bool:
         """Solvability test only: unit pivot rows always solve, so only
         the rest goes to the residue."""
         core = self._residue()
-        y = self._forward(self._dense(b, self.nrows))
-        return core.solvable(self._sparse(y, ~self._unit_rows))
+        y = self._forward(dense_vector(b, self.nrows, self.modulus))
+        return core.solvable(sparse_vector(y, ~self._unit_rows))

@@ -121,12 +121,14 @@ def test_solve_primitive_bounds_the_pullback():
         assert psi.group.table == hom.source.table
         assert psi.degree == 3 and psi.kind == "qz"
         assert coboundary(psi) == lifted
-        # independent second route to a primitive: the degree-3 system
-        # solved by the journaled elimination gives another witness, and
-        # the two witnesses differ by a cocycle
+        # solve_primitive is coboundary_primitive of the pullback, so this
+        # runs the same cached solve twice: it pins that the two calls
+        # agree, and is no independent witness
         other = coboundary_primitive(lifted)
         assert coboundary(other) == lifted
         assert is_cocycle(psi - other)
+        # the independent decision: the modular route's bounded test
+        assert is_coboundary(lifted, method="bounded")
 
 
 def test_solve_primitive_zero_input():

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -264,3 +265,67 @@ def test_candidate_order_matches_stable_argsort(size):
         scores = rng.integers(0, high, size=size)
         expected = np.argsort(scores, kind="stable")[:_MAX_CANDIDATES]
         assert np.array_equal(candidate_order(scores), expected)
+
+
+def nonunits_of(modulus):
+    return [v for v in range(2, modulus) if gcd(v, modulus) > 1]
+
+
+def residue_shaped_matrix(rng, modulus, scaled):
+    """A tall, thin matrix of non-units mod `modulus`, as the sweep hands
+    over: with `scaled`, column j is a multiple of a proper divisor d_j."""
+    nrows, ncols = rng.randint(200, 400), rng.randint(4, 10)
+    divisors = [d for d in range(2, modulus) if modulus % d == 0]
+    nonunits = nonunits_of(modulus)
+    scale = [rng.choice(divisors) for _ in range(ncols)]
+    mat = [[0] * ncols for _ in range(nrows)]
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.4:
+                v = (scale[j] * rng.randrange(1, modulus) if scaled
+                     else rng.choice(nonunits)) % modulus
+                mat[i][j] = v
+    return mat, nrows, ncols
+
+
+@pytest.mark.parametrize("seed,modulus,scaled",
+                         [(s, m, scaled) for s in range(2) for m in (36, 144, 64)
+                          for scaled in (False, True)])
+def test_residue_shaped_reduction(seed, modulus, scaled):
+    rng = random.Random(1000 * seed + modulus + scaled)
+    mat, nrows, ncols = residue_shaped_matrix(rng, modulus, scaled)
+    elim = eliminate(dense_to_rows(mat), nrows, ncols, modulus=modulus)
+    free = ncols - len(elim.pivots)
+    assert (sorted(elim.nontrivial_factors() + [modulus] * free)
+            == modular_cokernel_factors(mat, modulus))
+    # the divisibility chain holds in pivot order
+    gcds = [elim.pivot_factor(v) for _, _, v in elim.pivots]
+    assert all(b % a == 0 for a, b in zip(gcds, gcds[1:]))
+    # U A V is the recorded diagonal
+    u = np.array([[elim.apply_row_transform({k: 1}).get(r, 0)
+                   for k in range(nrows)] for r in range(nrows)], dtype=np.int64)
+    v = np.array([[elim.apply_col_transform({k: 1}).get(c, 0)
+                   for k in range(ncols)] for c in range(ncols)], dtype=np.int64)
+    expected = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, s in elim.pivots:
+        expected[r, c] = s
+    a = np.array(mat, dtype=np.int64)
+    assert np.array_equal((u @ a % modulus) @ v % modulus, expected)
+    # with no units to sweep, the engine's answers are the reducer's
+    fast = journaled_sweep(mat, nrows, ncols, modulus)
+    assert fast.unit_pivot_count == 0
+    assert fast.nontrivial_factors() == elim.nontrivial_factors()
+    for planted in (True, False) * 4:
+        if planted:
+            b = mat_vec(mat, {j: rng.randrange(modulus) for j in range(ncols)},
+                        modulus)
+        else:
+            b = {i: rng.choice(nonunits_of(modulus))
+                 for i in rng.sample(range(nrows), 3)}
+        ok = elim.solvable(b)
+        assert fast.solvable(b) == ok
+        assert ok or not planted
+        for x in (elim.solve(b), fast.solve(b)):
+            assert (x is not None) == ok
+            if x is not None:
+                assert mat_vec(mat, x, modulus) == b

@@ -73,3 +73,18 @@ def test_modular_cross_check_stays_independent():
                 offences.append(f"modular.py:{node.lineno} imports "
                                 f"{module}" + (f".{name}" if name else ""))
     assert not offences, "; ".join(offences)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # only a sweep needs scipy; workloads that never sweep should not pay
+    # for its import
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, cohomkit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", "import cohomkit loaded: " + out
